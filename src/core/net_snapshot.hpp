@@ -1,21 +1,23 @@
 #pragma once
 /// \file net_snapshot.hpp
-/// Reduced-precision serving snapshot of a trained TwoBranchNet.
+/// Serving snapshot of a trained TwoBranchNet, at f64 or f32.
 ///
 /// The paper's pitch is a model cheap enough for embedded BMS silicon;
-/// like related PINN estimators we keep training in f64 and deploy
-/// inference in f32: TwoBranchSnapshotT captures both branches' weights
-/// and scaler moments ONCE (at load), converted to the target scalar, and
-/// serves them through the feature-major panel kernels — the same seam
-/// RolloutEngine / FleetEngine already feed, so the engines' gather /
-/// scatter loops don't change shape. The source f64 net is never written
-/// and keeps serving the default path bitwise unchanged; the f32 path
-/// tracks it within ~1e-5 SoC on the paper's traces (far below the ~1-2%
-/// RMSE signal), at roughly twice the panel throughput.
+/// like related PINN estimators we keep training in f64 and serve from a
+/// converted copy: TwoBranchSnapshotT captures both branches' weights and
+/// scaler moments ONCE (at load), converted to the target scalar, and
+/// serves them through the feature-major panel kernels — the one forward
+/// path of RolloutEngine / FleetEngine. The source net is never written.
+/// At T = double the snapshot is bitwise identical to the net's own
+/// forwards; at T = float it tracks them within ~1e-5 SoC on the paper's
+/// traces (far below the ~1-2% RMSE signal), at roughly twice the panel
+/// throughput.
 
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <variant>
 
 #include "core/two_branch_net.hpp"
 #include "nn/panel.hpp"
@@ -23,37 +25,45 @@
 
 namespace socpinn::core {
 
-/// Scalar type of the serve-side forward. kFloat64 routes through the
-/// original nn::Matrix path (bitwise unchanged); kFloat32 routes through a
-/// TwoBranchSnapshotT<float> built once per engine.
+/// Scalar type of the serve-side forward. Both precisions run the same
+/// feature-major panel path through a TwoBranchSnapshotT<T> converted once
+/// per snapshot: kFloat64 is bitwise identical to the trained net's own
+/// nn::Matrix forwards, kFloat32 trades ~1e-5 SoC for panel throughput.
 enum class Precision {
   kFloat64,
   kFloat32,
 };
 
 /// Caller-owned scratch for allocation-free snapshot inference — the
-/// templated twin of InferenceWorkspace (per-branch panel buffers plus the
-/// standardize staging).
+/// templated twin of InferenceWorkspace (per-branch panel buffers, the
+/// standardize staging, and the raw input panels callers stage into).
 template <typename T>
 struct InferenceWorkspaceT {
   nn::ForwardWorkspaceT<T> branch1;
   nn::ForwardWorkspaceT<T> branch2;
   nn::MatrixT<T> scaled;  ///< standardized inputs of the current forward
+  /// Raw feature-major inputs: 3 x n sensors for Branch 1 and 4 x n rows
+  /// for Branch 2, kept apart so a Branch-1 re-seed never clobbers staged
+  /// Branch-2 rows.
+  nn::MatrixT<T> sensors;
+  nn::MatrixT<T> branch2_input;
 };
 
 /// Immutable T-precision twin of a trained TwoBranchNet. Feature-major
-/// only: the serve engines stage panels anyway, and at reduced precision
-/// there is no bitwise row-major contract to preserve.
+/// only: the serve engines stage panels anyway, and at T = double the
+/// panel forward is bitwise equal to the net's row-major one.
 template <typename T>
 class TwoBranchSnapshotT {
  public:
-  /// Converts weights and scaler stats once. Requires fitted scalers
-  /// (throws std::logic_error otherwise, like the f64 inference path).
+  /// Converts weights and scaler stats once. Like the net itself, a net
+  /// whose scalers are not fitted still converts, and each branch's
+  /// forward throws std::logic_error until that branch's scaler is fitted
+  /// (a Physics-Only model trains Branch 1 alone and serves its estimates).
   explicit TwoBranchSnapshotT(const TwoBranchNet& net)
       : branch1_(nn::MlpSnapshotT<T>::from(net.branch1())),
         branch2_(nn::MlpSnapshotT<T>::from(net.branch2())),
-        scaler1_(nn::ScalerStatsT<T>::from(net.scaler1())),
-        scaler2_(nn::ScalerStatsT<T>::from(net.scaler2())) {}
+        scaler1_(stats(net.scaler1())),
+        scaler2_(stats(net.scaler2())) {}
 
   /// Branch-1 panel: sensors_columns is 3 x n ([V; I; T] rows, batch as
   /// the unit-stride axis) -> 1 x n estimated SoC(t). The returned
@@ -76,6 +86,12 @@ class TwoBranchSnapshotT {
   [[nodiscard]] const nn::ScalerStatsT<T>& scaler2() const { return scaler2_; }
 
  private:
+  /// Empty stats for an unfitted scaler: their transform throws.
+  static nn::ScalerStatsT<T> stats(const nn::StandardScaler& scaler) {
+    return scaler.fitted() ? nn::ScalerStatsT<T>::from(scaler)
+                           : nn::ScalerStatsT<T>{};
+  }
+
   nn::MlpSnapshotT<T> branch1_;
   nn::MlpSnapshotT<T> branch2_;
   nn::ScalerStatsT<T> scaler1_;
@@ -87,12 +103,12 @@ extern template class TwoBranchSnapshotT<double>;
 
 using TwoBranchSnapshotF32 = TwoBranchSnapshotT<float>;
 
-/// Single source of truth for the f32 backend's precondition: the
-/// reduced-precision snapshot converts scaler moments at construction, so
-/// the net must be trained (fitted scalers) by then. Throws
-/// std::invalid_argument with `knob` naming the configuration knob the
-/// caller should look at — the engines pass their own config field so the
-/// error reads as "FleetConfig::precision ..." at engine construction.
+/// Single source of truth for the f32 backend's precondition: a
+/// reduced-precision model is a deployment artifact, so it must come from a
+/// trained net (fitted scalers). Throws std::invalid_argument with `knob`
+/// naming the configuration knob the caller should look at — the engines
+/// pass their own config field so the error reads as
+/// "FleetConfig::precision ..." at engine construction.
 inline void require_trained_for_f32(const TwoBranchNet& net,
                                     const char* knob) {
   if (!net.scaler1().fitted() || !net.scaler2().fitted()) {
@@ -104,41 +120,40 @@ inline void require_trained_for_f32(const TwoBranchNet& net,
 }
 
 /// Immutable serving model: the unit of RCU-style hot-swap. One snapshot
-/// owns everything a tick needs — a deep f64 copy of the trained net (the
-/// default serve path, bitwise identical to serving the source net
-/// directly) and, under Precision::kFloat32, the f32 twin converted once
-/// at construction. The serve engines hold snapshots behind an atomic
+/// owns exactly one TwoBranchSnapshotT<T> for its precision, converted
+/// once at construction — never the source net or its training caches, so
+/// the caller's net can be retrained or freed the moment the constructor
+/// returns. The serve engines hold snapshots behind an atomic
 /// std::shared_ptr: swap_model() builds a new snapshot off the hot path
-/// and publishes it between ticks, in-flight shards finish on the old one
-/// (kept alive by the tick's reference), and the caller's net can be
-/// retrained or freed the moment the constructor returns.
+/// and publishes it between ticks, and in-flight shards finish on the old
+/// one (kept alive by the tick's reference).
 class TwoBranchSnapshot {
  public:
-  /// Deep-copies `net` (and converts the f32 twin when `precision` is
-  /// kFloat32 — which requires a trained net with fitted scalers; throws
-  /// std::invalid_argument naming the requirement otherwise). All the
-  /// conversion cost lands here, never on the tick path.
-  TwoBranchSnapshot(const TwoBranchNet& net, Precision precision)
-      : precision_(precision), net_(net) {
-    if (precision_ == Precision::kFloat32) {
-      require_trained_for_f32(net, "TwoBranchSnapshot: precision");
-      f32_ = std::make_unique<const TwoBranchSnapshotF32>(net);
-    }
+  /// Converts `net` at `precision`; all the conversion cost lands here,
+  /// never on the tick path. kFloat32 requires a trained net with fitted
+  /// scalers (throws std::invalid_argument naming the requirement
+  /// otherwise). A kFloat64 snapshot of a net without fitted scalers still
+  /// constructs, so engines can be built before training; serving it
+  /// throws std::logic_error, like the net's own inference.
+  TwoBranchSnapshot(const TwoBranchNet& net, Precision precision);
+
+  [[nodiscard]] Precision precision() const {
+    return std::holds_alternative<TwoBranchSnapshotT<float>>(forward_)
+               ? Precision::kFloat32
+               : Precision::kFloat64;
   }
 
-  [[nodiscard]] Precision precision() const { return precision_; }
-
-  /// The f64 model (always present). Const inference with caller-owned
-  /// workspaces is thread-safe; the copy is never mutated.
-  [[nodiscard]] const TwoBranchNet& net() const { return net_; }
-
-  /// The f32 twin; only valid when precision() == kFloat32.
-  [[nodiscard]] const TwoBranchSnapshotF32& f32() const { return *f32_; }
+  /// Calls f(forward) with this snapshot's TwoBranchSnapshotT<double> or
+  /// TwoBranchSnapshotT<float>: the serve engines write one shard body
+  /// templated on T and pick its instantiation here, once per call.
+  template <typename F>
+  void visit(F&& f) const {
+    std::visit(std::forward<F>(f), forward_);
+  }
 
  private:
-  Precision precision_;
-  TwoBranchNet net_;
-  std::unique_ptr<const TwoBranchSnapshotF32> f32_;
+  std::variant<TwoBranchSnapshotT<double>, TwoBranchSnapshotT<float>>
+      forward_;
 };
 
 /// Atomically swappable owner of the current serving snapshot — the RCU

@@ -95,7 +95,7 @@ template <typename T>
 SOCPINN_HOT void ScalerStatsT<T>::transform_columns_into(
     const MatrixT<T>& x, MatrixT<T>& out) const {
   if (means.empty()) {
-    throw std::logic_error("ScalerStatsT: empty stats");
+    throw std::logic_error("ScalerStatsT: empty stats (scaler not fitted)");
   }
   if (x.rows() != means.size()) {
     throw std::invalid_argument("ScalerStatsT::transform_columns_into: "
@@ -178,10 +178,8 @@ SOCPINN_HOT const MatrixT<T>& MlpSnapshotT<T>::infer_columns(
   return *x;
 }
 
-// The two supported serve precisions. The double instantiation exists to
-// pin the template to the nn::Matrix reference path bitwise (and for
-// float<->double conversion round-trip tests); float is the deployed
-// reduced-precision backend.
+// The two serve precisions. The double instantiation is pinned bitwise to
+// the nn::Matrix reference path; float is the reduced-precision backend.
 template void dense_forward_columns<float>(const MatrixT<float>&,
                                            const MatrixT<float>&,
                                            const MatrixT<float>&,

@@ -2,15 +2,15 @@
 /// \file panel.hpp
 /// Scalar-templated carriers for the serve-side inference path.
 ///
-/// Training and the default serving path stay on nn::Matrix (double);
-/// these types exist so the feature-major panel seam — the per-step hot
-/// path of RolloutEngine / FleetEngine — can also run at float, where the
-/// same register tiles pack twice the SIMD lanes. The float weights and
-/// scaler stats are converted ONCE from a trained f64 model (MlpSnapshotT /
-/// ScalerStatsT), so the f64 network is never touched by the reduced-
-/// precision backend. Instantiated at double, every type here reproduces
-/// the nn::Matrix path bitwise (tests/nn/test_panel.cpp), which pins the
-/// template to the reference arithmetic.
+/// Training stays on nn::Matrix (double); these types carry the serve
+/// engines' feature-major panel path — the per-step hot path of
+/// RolloutEngine / FleetEngine — at double and at float, where the same
+/// register tiles pack twice the SIMD lanes. Weights and scaler stats are
+/// converted ONCE from a trained f64 model (MlpSnapshotT / ScalerStatsT),
+/// so serving never touches the trained network. Instantiated at double,
+/// every type here reproduces the nn::Matrix path bitwise
+/// (tests/nn/test_panel.cpp), which pins the template to the reference
+/// arithmetic.
 
 #include <cstddef>
 #include <span>
@@ -147,7 +147,7 @@ class MlpSnapshotT {
 
   /// Captures every layer. Throws std::invalid_argument on layer kinds the
   /// inference path does not know (the paper's branches are Dense +
-  /// Activation only; Dropout is a training-time construct).
+  /// Activation only).
   [[nodiscard]] static MlpSnapshotT from(const Mlp& mlp);
 
   /// Feature-major inference: `input_columns` is (in_features x batch) and

@@ -113,9 +113,17 @@ StandardScaler StandardScaler::from_moments(std::vector<double> means,
   if (means.size() != stds.size() || means.empty()) {
     throw std::invalid_argument("StandardScaler::from_moments: bad sizes");
   }
-  for (double s : stds) {
-    if (s <= 0.0) {
-      throw std::invalid_argument("StandardScaler::from_moments: std <= 0");
+  // Every moment reaches each forward as (x - mean) / std, so one NaN or
+  // Inf poisons every output. Written as "not (finite and > 0)": a plain
+  // `s <= 0.0` is false for NaN and waves it through.
+  for (std::size_t c = 0; c < means.size(); ++c) {
+    if (!std::isfinite(means[c])) {
+      throw std::invalid_argument(
+          "StandardScaler::from_moments: non-finite mean");
+    }
+    if (!(std::isfinite(stds[c]) && stds[c] > 0.0)) {
+      throw std::invalid_argument(
+          "StandardScaler::from_moments: std must be finite and > 0");
     }
   }
   StandardScaler scaler;

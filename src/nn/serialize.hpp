@@ -13,9 +13,9 @@
 
 namespace socpinn::nn {
 
-/// Writes an MLP to the stream. Supports Dense and Activation layers;
-/// throws std::runtime_error for unsupported layer types (Dropout is a
-/// train-only construct and is intentionally not persisted).
+/// Writes an MLP to the stream. Supports Dense and Activation layers, the
+/// only kinds the paper's branches use; throws std::runtime_error for any
+/// other layer type.
 void save_mlp(std::ostream& out, const Mlp& net);
 
 /// Reads an MLP written by save_mlp. Throws std::runtime_error on parse

@@ -65,9 +65,9 @@ Mailbox FleetEngine::make_mailbox(const FleetConfig& config,
 FleetEngine::FleetEngine(const core::TwoBranchNet& net, std::size_t num_cells,
                          FleetConfig config)
     : config_(validated(net, num_cells, config)),
-      // Weights (and scaler stats, under kFloat32) are copied/converted
-      // exactly once, off the hot path; every tick serves the immutable
-      // snapshot published here or by a later swap_model().
+      // Weights and scaler stats are converted exactly once, off the hot
+      // path; every tick serves the immutable snapshot published here or
+      // by a later swap_model().
       model_(std::make_shared<const core::TwoBranchSnapshot>(
           net, config.precision)),
       pool_(config.threads),
@@ -97,48 +97,30 @@ void FleetEngine::swap_model(
   model_.store(std::move(snapshot));
 }
 
+template <typename T>
 SOCPINN_HOT void FleetEngine::reanchor_batch(
-    ShardScratch& scratch, const core::TwoBranchSnapshot& model) {
+    ShardScratch& scratch, const core::TwoBranchSnapshotT<T>& model) {
   const std::size_t count = scratch.pending.size();
   if (count == 0) return;
   const bool clamp = config_.clamp_soc;
-  if (config_.precision == core::Precision::kFloat32) {
-    // Padded up to the 32-wide vectorized float tile (zero columns,
-    // outputs discarded): per-column results are independent, so padding
-    // changes nothing but speed on thin batches.
-    const std::size_t padded = std::max(count, nn::kColumnsMinBatch);
-    // SOCPINN_HOT_ALLOW(resize): shrinks into warm capacity after the
-    // first full-shard drain (test_alloc_free.cpp probes it)
-    scratch.sensor_input_f32.resize(3, padded);
-    for (std::size_t i = 0; i < count; ++i) {
-      scratch.sensor_input_f32(0, i) =
-          static_cast<float>(scratch.reports[i].voltage);
-      scratch.sensor_input_f32(1, i) =
-          static_cast<float>(scratch.reports[i].current);
-      scratch.sensor_input_f32(2, i) =
-          static_cast<float>(scratch.reports[i].temp_c);
-    }
-    nn::zero_pad_columns(scratch.sensor_input_f32, count);
-    const nn::MatrixF32& est = model.f32().estimate_columns(
-        scratch.sensor_input_f32, scratch.ws_f32);
-    for (std::size_t i = 0; i < count; ++i) {
-      const double raw = static_cast<double>(est(0, i));
-      soc_[scratch.pending[i]] = clamp ? util::clamp01(raw) : raw;
-    }
-    return;
-  }
-  // SOCPINN_HOT_ALLOW(resize): shrinks into warm capacity after the first
-  // full-shard drain (test_alloc_free.cpp probes it)
-  scratch.sensor_input.resize(count, 3);
+  core::InferenceWorkspaceT<T>& ws =
+      std::get<core::InferenceWorkspaceT<T>>(scratch.ws);
+  // Padded up to the panel tile (zero columns, outputs discarded):
+  // per-column results are independent, so padding changes nothing but
+  // speed on thin batches.
+  // SOCPINN_HOT_ALLOW(resize): shrinks into warm capacity after the
+  // first full-shard drain (test_alloc_free.cpp probes it)
+  ws.sensors.resize(3, std::max(count, nn::kColumnsMinBatch));
   for (std::size_t i = 0; i < count; ++i) {
-    scratch.sensor_input(i, 0) = scratch.reports[i].voltage;
-    scratch.sensor_input(i, 1) = scratch.reports[i].current;
-    scratch.sensor_input(i, 2) = scratch.reports[i].temp_c;
+    ws.sensors(0, i) = static_cast<T>(scratch.reports[i].voltage);
+    ws.sensors(1, i) = static_cast<T>(scratch.reports[i].current);
+    ws.sensors(2, i) = static_cast<T>(scratch.reports[i].temp_c);
   }
-  const nn::Matrix& est =
-      model.net().estimate_batch(scratch.sensor_input, scratch.ws);
+  nn::zero_pad_columns(ws.sensors, count);
+  const nn::MatrixT<T>& est = model.estimate_columns(ws.sensors, ws);
   for (std::size_t i = 0; i < count; ++i) {
-    soc_[scratch.pending[i]] = clamp ? util::clamp01(est(i, 0)) : est(i, 0);
+    const double raw = static_cast<double>(est(0, i));
+    soc_[scratch.pending[i]] = clamp ? util::clamp01(raw) : raw;
   }
 }
 
@@ -151,23 +133,26 @@ void FleetEngine::init_from_sensors(const nn::Matrix& sensors_raw) {
   const util::RoleGuard tick(tick_serial_);
   const std::shared_ptr<const core::TwoBranchSnapshot> model =
       model_.load();
-  pool_.parallel_for(
-      num_cells(), [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        // Lambdas are analyzed as separate functions with an empty
-        // lockset, so each pool job enters the shard-execution role
-        // itself before touching the REQUIRES(shard_exec_) helpers.
-        const util::RoleGuard shard_scope(shard_exec_);
-        ShardScratch& scratch = scratch_[shard];
-        scratch.pending.clear();
-        scratch.reports.clear();
-        for (std::size_t cell = begin; cell < end; ++cell) {
-          scratch.pending.push_back(cell);
-          scratch.reports.push_back({sensors_raw(cell, 0),
-                                     sensors_raw(cell, 1),
-                                     sensors_raw(cell, 2)});
-        }
-        reanchor_batch(scratch, *model);
-      });
+  model->visit([&](const auto& forward) {
+    pool_.parallel_for(
+        num_cells(),
+        [&](std::size_t shard, std::size_t begin, std::size_t end) {
+          // Lambdas are analyzed as separate functions with an empty
+          // lockset, so each pool job enters the shard-execution role
+          // itself before touching the REQUIRES(shard_exec_) helpers.
+          const util::RoleGuard shard_scope(shard_exec_);
+          ShardScratch& scratch = scratch_[shard];
+          scratch.pending.clear();
+          scratch.reports.clear();
+          for (std::size_t cell = begin; cell < end; ++cell) {
+            scratch.pending.push_back(cell);
+            scratch.reports.push_back({sensors_raw(cell, 0),
+                                       sensors_raw(cell, 1),
+                                       sensors_raw(cell, 2)});
+          }
+          reanchor_batch(scratch, forward);
+        });
+  });
 }
 
 void FleetEngine::reseed_from_sensors(std::span<const std::size_t> cells,
@@ -185,13 +170,10 @@ void FleetEngine::reseed_from_sensors(std::span<const std::size_t> cells,
   require_finite_sensor_rows(sensors_raw, "FleetEngine::reseed_from_sensors");
   if (cells.empty()) return;
   const util::RoleGuard tick(tick_serial_);
-  // The synchronous re-anchor runs the shard helper on the calling
-  // thread, so it enters the shard-execution role here.
-  const util::RoleGuard shard_scope(shard_exec_);
   const std::shared_ptr<const core::TwoBranchSnapshot> model =
       model_.load();
   // One batched estimate on the calling thread, through the same
-  // reanchor_batch body a mailbox drain runs — which, with per-row
+  // reanchor_batch body a mailbox drain runs — which, with per-column
   // independence, is the whole bitwise drain-equivalence argument.
   ShardScratch& scratch = scratch_[0];
   scratch.pending.assign(cells.begin(), cells.end());
@@ -200,7 +182,12 @@ void FleetEngine::reseed_from_sensors(std::span<const std::size_t> cells,
     scratch.reports.push_back(
         {sensors_raw(i, 0), sensors_raw(i, 1), sensors_raw(i, 2)});
   }
-  reanchor_batch(scratch, *model);
+  model->visit([&](const auto& forward) {
+    // The synchronous re-anchor runs the shard helper on the calling
+    // thread, so it enters the shard-execution role here.
+    const util::RoleGuard shard_scope(shard_exec_);
+    reanchor_batch(scratch, forward);
+  });
 }
 
 void FleetEngine::clear_workload_override(std::size_t cell) {
@@ -300,7 +287,6 @@ void FleetEngine::set_soc(std::span<const double> soc) {
 }
 
 SOCPINN_HOT void FleetEngine::drain_shard(ShardScratch& scratch,
-                                          const core::TwoBranchSnapshot& model,
                                           std::size_t begin, std::size_t end) {
   // Param updates first: a capacity published by the slow SoH loop takes
   // effect from this very tick's physics advance on. Skip-and-count
@@ -333,9 +319,9 @@ SOCPINN_HOT void FleetEngine::drain_shard(ShardScratch& scratch,
       override_active_[cell] = 1;
     }
   }
-  // Sensor reports: gather the pending cells, then one batched Branch-1
-  // re-seed for exactly those cells — the streaming re-anchor. The drained
-  // SoC feeds this same tick's Branch-2 input. Non-finite reports are
+  // Sensor reports: gather the pending cells for the caller's batched
+  // Branch-1 re-seed of exactly those cells — the streaming re-anchor,
+  // whose SoC feeds this same tick's Branch-2 input. Non-finite reports are
   // skipped and counted (the drain cannot throw mid-tick); the cell keeps
   // its current SoC until the next valid report.
   scratch.pending.clear();
@@ -354,58 +340,36 @@ SOCPINN_HOT void FleetEngine::drain_shard(ShardScratch& scratch,
       scratch.reports.push_back(report);
     }
   }
-  reanchor_batch(scratch, model);
 }
 
-SOCPINN_HOT void FleetEngine::apply_overrides(ShardScratch& scratch, bool f32,
-                                              bool columns, std::size_t begin,
+template <typename T>
+SOCPINN_HOT void FleetEngine::apply_overrides(nn::MatrixT<T>& input,
+                                              std::size_t begin,
                                               std::size_t count) {
   // Runs after any staging, before every forward: overrides must survive
   // both per-tick restaging (step) and the persisted run() fast path.
   for (std::size_t i = 0; i < count; ++i) {
     if (override_active_[begin + i] == 0) continue;
     const WorkloadOverride& o = override_[begin + i];
-    if (f32) {
-      scratch.input_f32(1, i) = static_cast<float>(o.avg_current);
-      scratch.input_f32(2, i) = static_cast<float>(o.avg_temp_c);
-      scratch.input_f32(3, i) = static_cast<float>(o.horizon_s);
-    } else if (columns) {
-      scratch.input(1, i) = o.avg_current;
-      scratch.input(2, i) = o.avg_temp_c;
-      scratch.input(3, i) = o.horizon_s;
-    } else {
-      scratch.input(i, 1) = o.avg_current;
-      scratch.input(i, 2) = o.avg_temp_c;
-      scratch.input(i, 3) = o.horizon_s;
-    }
+    input(1, i) = static_cast<T>(o.avg_current);
+    input(2, i) = static_cast<T>(o.avg_temp_c);
+    input(3, i) = static_cast<T>(o.horizon_s);
   }
 }
 
+template <typename T>
 SOCPINN_HOT void FleetEngine::forward_shard(
-    ShardScratch& scratch, const core::TwoBranchSnapshot& model,
-    std::size_t begin, std::size_t count) {
+    core::InferenceWorkspaceT<T>& ws,
+    const core::TwoBranchSnapshotT<T>& model, std::size_t begin,
+    std::size_t count) {
   // Physics-only cells ride the batched forward (their columns are
   // computed and discarded — per-column independence makes the padding
   // free) but keep their prior SoC here: advance_physics reads it right
   // after this, and Eq. 1 must see the true f64 state, not an NN output.
-  if (config_.precision == core::Precision::kFloat32) {
-    const nn::MatrixF32& pred =
-        model.f32().predict_columns(scratch.input_f32, scratch.ws_f32);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (cell_mode_[begin + i] != 0) continue;
-      const double raw = static_cast<double>(pred(0, i));
-      soc_[begin + i] = config_.clamp_soc ? util::clamp01(raw) : raw;
-    }
-    return;
-  }
-  const bool columns = count >= nn::kColumnsMinBatch;
-  const nn::Matrix& pred =
-      columns
-          ? model.net().predict_batch_columns(scratch.input, scratch.ws)
-          : model.net().predict_batch(scratch.input, scratch.ws);
+  const nn::MatrixT<T>& pred = model.predict_columns(ws.branch2_input, ws);
   for (std::size_t i = 0; i < count; ++i) {
     if (cell_mode_[begin + i] != 0) continue;
-    const double raw = columns ? pred(0, i) : pred(i, 0);
+    const double raw = static_cast<double>(pred(0, i));
     soc_[begin + i] = config_.clamp_soc ? util::clamp01(raw) : raw;
   }
 }
@@ -437,72 +401,47 @@ SOCPINN_HOT void FleetEngine::advance_physics(std::size_t begin,
   }
 }
 
-SOCPINN_HOT void FleetEngine::step(const nn::Matrix& workload_raw) {
-  if (workload_raw.rows() != num_cells() || workload_raw.cols() != 3) {
-    throw std::invalid_argument(
-        "FleetEngine::step: need num_cells x 3 workload");
+template <typename T>
+SOCPINN_HOT void FleetEngine::tick_shard(
+    ShardScratch& scratch, const core::TwoBranchSnapshotT<T>& model,
+    std::size_t begin, std::size_t end, const nn::Matrix* workload_raw,
+    const double* row3) {
+  const std::size_t count = end - begin;
+  // Drain before staging: a drained sensor report must seed this tick's
+  // Branch-2 SoC input, and a drained override must replace this tick's
+  // workload row.
+  drain_shard(scratch, begin, end);
+  reanchor_batch(scratch, model);
+  core::InferenceWorkspaceT<T>& ws =
+      std::get<core::InferenceWorkspaceT<T>>(scratch.ws);
+  nn::MatrixT<T>& input = ws.branch2_input;
+  if (workload_raw != nullptr || row3 != nullptr) {
+    // Feature-major at every shard size (batch as the unit-stride axis),
+    // padded up to the panel tile on thin shards. Pad columns are staged
+    // to zero here (SoC row included) and never rewritten by the per-tick
+    // SoC refresh below.
+    // SOCPINN_HOT_ALLOW(resize): warm capacity, shard shape fixed per engine
+    input.resize(4, std::max(count, nn::kColumnsMinBatch));
+    for (std::size_t i = 0; i < count; ++i) {
+      const double* row = workload_raw != nullptr
+                              ? workload_raw->data().data() + (begin + i) * 3
+                              : row3;
+      input(1, i) = static_cast<T>(row[0]);
+      input(2, i) = static_cast<T>(row[1]);
+      input(3, i) = static_cast<T>(row[2]);
+    }
+    nn::zero_pad_columns(input, count);
   }
-  const util::RoleGuard tick(tick_serial_);
-  // One acquire per tick: every shard of this tick serves the same
-  // snapshot, and a concurrent swap_model lands on the next tick whole.
-  const std::shared_ptr<const core::TwoBranchSnapshot> model =
-      model_.load();
-  const bool f32 = config_.precision == core::Precision::kFloat32;
-  pool_.parallel_for(
-      num_cells(), [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        const util::RoleGuard shard_scope(shard_exec_);
-        ShardScratch& scratch = scratch_[shard];
-        const std::size_t count = end - begin;
-        drain_shard(scratch, *model, begin, end);
-        if (f32) {
-          // Feature-major at every shard size (no bitwise row-major
-          // contract to preserve at reduced precision), padded up to the
-          // 32-wide vectorized float tile on thin shards.
-          const std::size_t padded = std::max(count, nn::kColumnsMinBatch);
-          // SOCPINN_HOT_ALLOW(resize): warm capacity, shard shape fixed per engine
-          scratch.input_f32.resize(4, padded);
-          for (std::size_t i = 0; i < count; ++i) {
-            scratch.input_f32(0, i) = static_cast<float>(soc_[begin + i]);
-            scratch.input_f32(1, i) =
-                static_cast<float>(workload_raw(begin + i, 0));
-            scratch.input_f32(2, i) =
-                static_cast<float>(workload_raw(begin + i, 1));
-            scratch.input_f32(3, i) =
-                static_cast<float>(workload_raw(begin + i, 2));
-          }
-          nn::zero_pad_columns(scratch.input_f32, count);
-        } else if (count >= nn::kColumnsMinBatch) {
-          // Stage feature-major (batch as the unit-stride axis, no
-          // transpose round-trip) for big shards, row-major below the
-          // panel threshold where the small-batch kernels win; both
-          // layouts agree bitwise.
-          // SOCPINN_HOT_ALLOW(resize): warm capacity, shard shape fixed per engine
-          scratch.input.resize(4, count);
-          for (std::size_t i = 0; i < count; ++i) {
-            scratch.input(0, i) = soc_[begin + i];
-            scratch.input(1, i) = workload_raw(begin + i, 0);
-            scratch.input(2, i) = workload_raw(begin + i, 1);
-            scratch.input(3, i) = workload_raw(begin + i, 2);
-          }
-        } else {
-          // SOCPINN_HOT_ALLOW(resize): warm capacity, shard shape fixed per engine
-          scratch.input.resize(count, 4);
-          for (std::size_t i = 0; i < count; ++i) {
-            scratch.input(i, 0) = soc_[begin + i];
-            scratch.input(i, 1) = workload_raw(begin + i, 0);
-            scratch.input(i, 2) = workload_raw(begin + i, 1);
-            scratch.input(i, 3) = workload_raw(begin + i, 2);
-          }
-        }
-        apply_overrides(scratch, f32, count >= nn::kColumnsMinBatch, begin,
-                        count);
-        forward_shard(scratch, *model, begin, count);
-        advance_physics(begin, end, &workload_raw, nullptr);
-      });
-  ++ticks_;
+  for (std::size_t i = 0; i < count; ++i) {
+    input(0, i) = static_cast<T>(soc_[begin + i]);
+  }
+  apply_overrides(input, begin, count);
+  forward_shard(ws, model, begin, count);
+  advance_physics(begin, end, workload_raw, shared_row_);
 }
 
-SOCPINN_HOT void FleetEngine::tick_shared(const double* row3) {
+SOCPINN_HOT void FleetEngine::tick_shards(const nn::Matrix* workload_raw,
+                                          const double* row3) {
   if (row3 != nullptr) {
     // Persist the shared row in f64: the run() fast path reuses staged
     // rows on later ticks (row3 == nullptr), and advance_physics must
@@ -511,69 +450,29 @@ SOCPINN_HOT void FleetEngine::tick_shared(const double* row3) {
     shared_row_[1] = row3[1];
     shared_row_[2] = row3[2];
   }
+  // One acquire per tick: every shard of this tick serves the same
+  // snapshot, and a concurrent swap_model lands on the next tick whole.
   const std::shared_ptr<const core::TwoBranchSnapshot> model =
       model_.load();
-  const bool f32 = config_.precision == core::Precision::kFloat32;
-  pool_.parallel_for(
-      num_cells(), [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        const util::RoleGuard shard_scope(shard_exec_);
-        ShardScratch& scratch = scratch_[shard];
-        const std::size_t count = end - begin;
-        // Drain before staging: a drained sensor report must seed this
-        // tick's Branch-2 SoC input, and a drained override must replace
-        // this tick's workload row.
-        drain_shard(scratch, *model, begin, end);
-        const bool columns = count >= nn::kColumnsMinBatch;
-        if (f32) {
-          if (row3 != nullptr) {
-            // Pad columns are staged to zero once (SoC row included) and
-            // never rewritten by the per-tick SoC refresh below.
-            const std::size_t padded = std::max(count, nn::kColumnsMinBatch);
-            // SOCPINN_HOT_ALLOW(resize): warm capacity, shard shape fixed per engine
-            scratch.input_f32.resize(4, padded);
-            for (std::size_t i = 0; i < count; ++i) {
-              scratch.input_f32(1, i) = static_cast<float>(row3[0]);
-              scratch.input_f32(2, i) = static_cast<float>(row3[1]);
-              scratch.input_f32(3, i) = static_cast<float>(row3[2]);
-            }
-            nn::zero_pad_columns(scratch.input_f32, count);
-          }
-          for (std::size_t i = 0; i < count; ++i) {
-            scratch.input_f32(0, i) = static_cast<float>(soc_[begin + i]);
-          }
-          apply_overrides(scratch, true, columns, begin, count);
-          forward_shard(scratch, *model, begin, count);
-          advance_physics(begin, end, nullptr, shared_row_);
-          return;
-        }
-        if (row3 != nullptr) {
-          if (columns) {
-            // SOCPINN_HOT_ALLOW(resize): warm capacity, shard shape fixed per engine
-            scratch.input.resize(4, count);
-            for (std::size_t i = 0; i < count; ++i) {
-              scratch.input(1, i) = row3[0];
-              scratch.input(2, i) = row3[1];
-              scratch.input(3, i) = row3[2];
-            }
-          } else {
-            // SOCPINN_HOT_ALLOW(resize): warm capacity, shard shape fixed per engine
-            scratch.input.resize(count, 4);
-            for (std::size_t i = 0; i < count; ++i) {
-              scratch.input(i, 1) = row3[0];
-              scratch.input(i, 2) = row3[1];
-              scratch.input(i, 3) = row3[2];
-            }
-          }
-        }
-        for (std::size_t i = 0; i < count; ++i) {
-          (columns ? scratch.input(0, i) : scratch.input(i, 0)) =
-              soc_[begin + i];
-        }
-        apply_overrides(scratch, false, columns, begin, count);
-        forward_shard(scratch, *model, begin, count);
-        advance_physics(begin, end, nullptr, shared_row_);
-      });
+  model->visit([&](const auto& forward) {
+    pool_.parallel_for(
+        num_cells(),
+        [&](std::size_t shard, std::size_t begin, std::size_t end) {
+          const util::RoleGuard shard_scope(shard_exec_);
+          tick_shard(scratch_[shard], forward, begin, end, workload_raw,
+                     row3);
+        });
+  });
   ++ticks_;
+}
+
+SOCPINN_HOT void FleetEngine::step(const nn::Matrix& workload_raw) {
+  if (workload_raw.rows() != num_cells() || workload_raw.cols() != 3) {
+    throw std::invalid_argument(
+        "FleetEngine::step: need num_cells x 3 workload");
+  }
+  const util::RoleGuard tick(tick_serial_);
+  tick_shards(&workload_raw, nullptr);
 }
 
 void FleetEngine::run(double avg_current, double avg_temp_c, double horizon_s,
@@ -581,8 +480,8 @@ void FleetEngine::run(double avg_current, double avg_temp_c, double horizon_s,
   if (ticks == 0) return;
   const util::RoleGuard tick(tick_serial_);
   const double row[3] = {avg_current, avg_temp_c, horizon_s};
-  tick_shared(row);  // stages the shared workload row once per shard
-  for (std::size_t t = 1; t < ticks; ++t) tick_shared(nullptr);
+  tick_shards(nullptr, row);  // stages the shared row once per shard
+  for (std::size_t t = 1; t < ticks; ++t) tick_shards(nullptr, nullptr);
 }
 
 void FleetEngine::run(const data::WorkloadSchedule& schedule) {
@@ -590,7 +489,7 @@ void FleetEngine::run(const data::WorkloadSchedule& schedule) {
   for (std::size_t w = 0; w < schedule.num_steps(); ++w) {
     const double row[3] = {schedule.workload(w, 0), schedule.workload(w, 1),
                            schedule.workload(w, 2)};
-    tick_shared(row);
+    tick_shards(nullptr, row);
   }
 }
 

@@ -10,8 +10,8 @@
 /// estimate, voltage consumed exactly once as in the paper's Fig. 2
 /// rollout), then the server advances each cell's SoC per planning tick
 /// from its expected workload (Branch 2). Work is sharded across a thread
-/// pool; each shard runs on its own InferenceWorkspace against an
-/// immutable model snapshot, so shared state is only ever read. Shard
+/// pool; each shard runs on its own workspace against an immutable model
+/// snapshot, so shared state is only ever read. Shard
 /// boundaries depend on nothing but (num_cells, num_threads), and every
 /// batched row is computed independently, so fleet results are bitwise
 /// identical for any thread count. After one warm-up tick per shard the
@@ -41,11 +41,11 @@
 ///     synchronous reseed and the RolloutEngine re-anchor plans).
 ///   * The model is held as an atomically swappable shared_ptr to an
 ///     immutable core::TwoBranchSnapshot (RCU-style). swap_model()
-///     converts/copies once off the hot path and publishes between ticks:
+///     converts once off the hot path and publishes between ticks:
 ///     every tick acquires the pointer exactly once at its top, so all
 ///     shards of a tick serve the same model, in-flight ticks finish on
 ///     the snapshot they started with (kept alive by that reference), and
-///     no tick is ever dropped or torn. The engine copies the net at
+///     no tick is ever dropped or torn. The engine converts the net at
 ///     construction, so the caller's net may be retrained or freed
 ///     immediately.
 
@@ -53,6 +53,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/cell_params.hpp"
@@ -84,13 +85,14 @@ struct FleetConfig {
   /// RolloutConfig::clamp_soc — every seeding/serving path clamps unless
   /// explicitly disabled.
   bool clamp_soc = true;
-  /// Scalar type of the batched forwards. kFloat64 (default) is the
-  /// original path, bitwise unchanged; kFloat32 serves an f32 snapshot of
-  /// the net (converted once per snapshot, at construction or swap_model)
-  /// through feature-major panels at every shard size — ~2x SIMD width per
-  /// tick, SoC within ~1e-5 of f64 per tick. Requires a trained net
-  /// (fitted scalers); constructing with an untrained net throws
-  /// std::invalid_argument naming this knob.
+  /// Scalar type of the batched forwards. Both precisions serve a
+  /// snapshot of the net (converted once per snapshot, at construction or
+  /// swap_model) through feature-major panels at every shard size, padded
+  /// to nn::kColumnsMinBatch columns on thin shards. kFloat64 (default) is
+  /// bitwise identical to the net's own forwards. kFloat32 has ~2x SIMD
+  /// width per tick and SoC within ~1e-5 of f64 per tick; it requires a
+  /// trained net (fitted scalers), and constructing with an untrained net
+  /// throws std::invalid_argument naming this knob.
   core::Precision precision = core::Precision::kFloat64;
   /// External mailbox slot storage, or nullptr (default) to let the
   /// engine allocate its own. The multi-process transport points this at
@@ -112,10 +114,10 @@ struct FleetConfig {
 
 class FleetEngine {
  public:
-  /// Snapshots `net` once (deep copy; under kFloat32 also the converted
-  /// f32 twin) — the caller's net does NOT need to outlive the engine and
-  /// may keep training. Arguments are validated before any worker thread
-  /// spawns or state allocates.
+  /// Converts `net` once into a snapshot at FleetConfig::precision — the
+  /// caller's net does NOT need to outlive the engine and may keep
+  /// training. Arguments are validated before any worker thread spawns or
+  /// state allocates.
   FleetEngine(const core::TwoBranchNet& net, std::size_t num_cells,
               FleetConfig config = {});
 
@@ -169,8 +171,8 @@ class FleetEngine {
   void run(const data::WorkloadSchedule& schedule);
 
   /// RCU-style model hot-swap: snapshots `net` on the calling thread (the
-  /// expensive part — deep copy, f32 conversion under kFloat32) and
-  /// atomically publishes it. Ticks already in flight finish on the old
+  /// expensive part — the weight and scaler conversion) and atomically
+  /// publishes it. Ticks already in flight finish on the old
   /// snapshot; the next tick serves the new one. Safe to call from any
   /// thread, concurrently with ticks.
   void swap_model(const core::TwoBranchNet& net);
@@ -271,19 +273,15 @@ class FleetEngine {
   [[nodiscard]] const char* simd_isa() const;
 
  private:
-  /// Per-shard scratch: workspace plus the staged raw input rows. The f32
-  /// members are touched only under Precision::kFloat32.
+  /// Per-shard scratch: one snapshot workspace per precision (only the
+  /// engine's own is ever touched; the other stays empty) plus the
+  /// mailbox-drain staging.
   struct ShardScratch {
-    core::InferenceWorkspace ws;
-    nn::Matrix input;
-    core::InferenceWorkspaceT<float> ws_f32;
-    nn::MatrixT<float> input_f32;  ///< staged feature-major f32 panel
-    // Mailbox-drain staging, separate from `input` so a re-seed never
-    // clobbers the persisted run() workload rows.
+    std::tuple<core::InferenceWorkspaceT<double>,
+               core::InferenceWorkspaceT<float>>
+        ws;
     std::vector<std::size_t> pending;   ///< cells with a fresh sensor report
     std::vector<SensorReport> reports;  ///< their drained payloads
-    nn::Matrix sensor_input;            ///< staged Branch-1 re-seed batch
-    nn::MatrixT<float> sensor_input_f32;
   };
 
   /// Throws on invalid arguments (empty fleet; kFloat32 with an untrained
@@ -292,57 +290,69 @@ class FleetEngine {
   static FleetConfig validated(const core::TwoBranchNet& net,
                                std::size_t num_cells, FleetConfig config);
 
-  /// One tick against per-shard staged Branch-2 inputs. When `row3` is
-  /// non-null its [avg I, avg T, N] values are staged into the workload
-  /// slots first; nullptr reuses the values staged by the previous call
-  /// (the run() fast path — only the SoC slot is rewritten).
-  void tick_shared(const double* row3) SOCPINN_REQUIRES(tick_serial_);
+  /// One tick: runs tick_shard on every shard at the current snapshot's
+  /// precision. step() passes `workload_raw`; run() passes a shared `row3`
+  /// on its first tick and nullptr after (see tick_shard).
+  void tick_shards(const nn::Matrix* workload_raw, const double* row3)
+      SOCPINN_REQUIRES(tick_serial_);
 
-  /// Drains this shard's cell range of the mailbox: consumes workload
-  /// overrides into the per-cell override table, then re-seeds every cell
-  /// with a pending sensor report via one batched Branch-1 estimate.
-  /// Allocation-free once the drain staging is warm.
-  void drain_shard(ShardScratch& scratch, const core::TwoBranchSnapshot& model,
-                   std::size_t begin, std::size_t end)
+  /// The shard body: drain, Branch-1 re-seed, stage, overrides, Branch-2
+  /// forward, physics. Restages the workload rows from `workload_raw` row
+  /// `cell` (step()) or the shared `row3`; when both are null it reuses
+  /// the rows staged by the previous call (the run() fast path — only the
+  /// SoC row is rewritten).
+  template <typename T>
+  void tick_shard(ShardScratch& scratch,
+                  const core::TwoBranchSnapshotT<T>& model, std::size_t begin,
+                  std::size_t end, const nn::Matrix* workload_raw,
+                  const double* row3) SOCPINN_REQUIRES(shard_exec_);
+
+  /// Drains this shard's cell range of the mailbox: consumes param updates
+  /// and workload overrides into the per-cell tables, and gathers every
+  /// cell with a valid pending sensor report into scratch.pending /
+  /// scratch.reports for the following reanchor_batch. Allocation-free
+  /// once the drain staging is warm.
+  void drain_shard(ShardScratch& scratch, std::size_t begin, std::size_t end)
       SOCPINN_REQUIRES(shard_exec_);
 
   /// One batched Branch-1 re-anchor: estimates `scratch.reports` and
   /// writes the clamped results to soc_[scratch.pending[i]]. The single
   /// body behind init_from_sensors, reseed_from_sensors, and the mailbox
   /// drain — the documented bitwise equivalence of those three paths IS
-  /// this sharing (plus per-row independence of the batched estimate).
+  /// this sharing (plus per-column independence of the batched estimate).
+  template <typename T>
   void reanchor_batch(ShardScratch& scratch,
-                      const core::TwoBranchSnapshot& model)
+                      const core::TwoBranchSnapshotT<T>& model)
       SOCPINN_REQUIRES(shard_exec_);
 
   /// Rewrites the staged workload slots of every override-active cell in
   /// [begin, begin+count) — after any staging, before the forward, every
   /// tick, so overrides survive both restaging and the run() fast path.
-  void apply_overrides(ShardScratch& scratch, bool f32, bool columns,
-                       std::size_t begin, std::size_t count)
-      SOCPINN_REQUIRES(shard_exec_);
+  template <typename T>
+  void apply_overrides(nn::MatrixT<T>& input, std::size_t begin,
+                       std::size_t count) SOCPINN_REQUIRES(shard_exec_);
 
   /// Advances every CellMode::kPhysicsOnly cell of [begin, end) with
   /// Eq. 1 from its own params — after the shard's NN forward (whose
   /// write-back skips physics cells, so the prior SoC is still intact
   /// here). The workload comes from the cell's active override when set,
   /// else from `workload_raw` row `cell` (step()) or the shared `row3`
-  /// (tick_shared()) — always the raw f64 source, never the staged f32
-  /// panel, so physics advances in full precision under both engine
-  /// precisions (matching RolloutEngine's physics lanes).
+  /// (run()) — always the raw f64 source, never the staged panel, so
+  /// physics advances in full precision under both engine precisions
+  /// (matching RolloutEngine's physics lanes).
   void advance_physics(std::size_t begin, std::size_t end,
                        const nn::Matrix* workload_raw, const double* row3)
       SOCPINN_REQUIRES(shard_exec_);
 
-  /// Shared per-shard forward + clamped write-back used by step() and
-  /// tick_shared(). At f64, `scratch.input` must hold the shard's staged
-  /// raw Branch-2 inputs: feature-major (4 x count) for shards at or above
-  /// the panel threshold, row-major (count x 4) below it — the same
-  /// dispatch both stagers apply. At f32, `scratch.input_f32` holds a
-  /// feature-major 4 x count panel at every shard size.
-  void forward_shard(ShardScratch& scratch,
-                     const core::TwoBranchSnapshot& model, std::size_t begin,
-                     std::size_t count) SOCPINN_REQUIRES(shard_exec_);
+  /// Branch-2 forward + clamped write-back of the shard's cascade cells.
+  /// `ws.branch2_input` holds the staged raw Branch-2 panel: feature-major
+  /// 4 x max(count, nn::kColumnsMinBatch), pad columns zero, at both
+  /// precisions and every shard size.
+  template <typename T>
+  void forward_shard(core::InferenceWorkspaceT<T>& ws,
+                     const core::TwoBranchSnapshotT<T>& model,
+                     std::size_t begin, std::size_t count)
+      SOCPINN_REQUIRES(shard_exec_);
 
   /// Owning mailbox or a view over FleetConfig::external_mailbox_slots,
   /// depending on the config.
@@ -351,7 +361,7 @@ class FleetEngine {
 
   /// Phantom capabilities (zero runtime state — see util::ThreadRole).
   /// tick_serial_ is the single-caller tick surface: every tick-path
-  /// mutation enters it with a RoleGuard, and tick_shared REQUIRES it,
+  /// mutation enters it with a RoleGuard, and tick_shards REQUIRES it,
   /// so a new entry point that reaches the tick machinery without
   /// stating the "no concurrent ticks" contract fails the clang
   /// -Wthread-safety build. shard_exec_ is the shard-execution surface:
@@ -391,7 +401,7 @@ class FleetEngine {
   std::atomic<std::uint64_t> dropped_workload_overrides_{0};
   std::atomic<std::uint64_t> dropped_param_updates_{0};
   /// The persisted shared workload row of the run() fast path — the f64
-  /// source advance_physics reads when tick_shared reuses staged rows
+  /// source advance_physics reads when tick_shard reuses staged rows
   /// (the f32 staged panel would lose bits).
   double shared_row_[3] = {0.0, 0.0, 0.0};
   std::uint64_t ticks_ = 0;

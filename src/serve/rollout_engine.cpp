@@ -75,9 +75,9 @@ const char* RolloutEngine::simd_isa() const {
 RolloutEngine::RolloutEngine(const core::TwoBranchNet& net,
                              RolloutConfig config)
     : config_(validated(net, config)),
-      // Weights (and scaler stats, under kFloat32) are copied/converted
-      // exactly once, off the hot path; every run serves the immutable
-      // snapshot published here or by a later swap_model().
+      // Weights and scaler stats are converted exactly once, off the hot
+      // path; every run serves the immutable snapshot published here or by
+      // a later swap_model().
       model_(std::make_shared<const core::TwoBranchSnapshot>(
           net, config.precision)),
       pool_(config.threads),
@@ -157,20 +157,17 @@ void RolloutEngine::run_into(std::span<const RolloutLane> lanes,
   // snapshot, and a concurrent swap_model lands on the next run whole.
   const std::shared_ptr<const core::TwoBranchSnapshot> model =
       model_.load();
-  const bool f32 = config_.precision == core::Precision::kFloat32;
-  pool_.parallel_for(
-      lanes.size(),
-      [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        // Lambdas are analyzed as separate functions with an empty
-        // lockset, so each pool job enters the shard-execution role
-        // itself before touching the REQUIRES(shard_exec_) bodies.
-        const util::RoleGuard shard_scope(shard_exec_);
-        if (f32) {
-          roll_shard_f32(*model, lanes, out, shard, begin, end);
-        } else {
-          roll_shard(*model, lanes, out, shard, begin, end);
-        }
-      });
+  model->visit([&](const auto& forward) {
+    pool_.parallel_for(
+        lanes.size(),
+        [&](std::size_t shard, std::size_t begin, std::size_t end) {
+          // Lambdas are analyzed as separate functions with an empty
+          // lockset, so each pool job enters the shard-execution role
+          // itself before touching the REQUIRES(shard_exec_) body.
+          const util::RoleGuard shard_scope(shard_exec_);
+          roll_shard(forward, lanes, out, shard, begin, end);
+        });
+  });
 }
 
 SOCPINN_HOT std::size_t RolloutEngine::gather_reanchors(ShardScratch& s,
@@ -197,31 +194,41 @@ SOCPINN_HOT std::size_t RolloutEngine::gather_reanchors(ShardScratch& s,
   return s.pending.size();
 }
 
-SOCPINN_HOT void RolloutEngine::roll_shard(const core::TwoBranchSnapshot& model,
-                               std::span<const RolloutLane> lanes,
-                               std::span<core::Rollout> out, std::size_t shard,
-                               std::size_t begin, std::size_t end) {
-  const core::TwoBranchNet& net = model.net();
+template <typename T>
+SOCPINN_HOT void RolloutEngine::roll_shard(
+    const core::TwoBranchSnapshotT<T>& model,
+    std::span<const RolloutLane> lanes, std::span<core::Rollout> out,
+    std::size_t shard, std::size_t begin, std::size_t end) {
+  // Every NN forward is a feature-major panel padded up to the panel tile
+  // (zero columns, outputs discarded): per-column results are independent
+  // of the panel width, so padding changes nothing but speed — a ragged
+  // tail never crawls through a kernel's scalar remainder. Lane SoC state
+  // and trajectories stay f64 (they are API surface); only the panel
+  // arithmetic runs at T.
   const bool clamp = config_.clamp_soc;
   ShardScratch& s = scratch_[shard];
+  core::InferenceWorkspaceT<T>& ws =
+      std::get<core::InferenceWorkspaceT<T>>(s.ws);
   const std::size_t count = end - begin;
 
   // Seed: one batched Branch-1 estimate over the shard's lanes —
   // the only time voltage is consumed (Fig. 2 discipline).
   // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-  s.input.resize(count, 3);
+  ws.sensors.resize(3, std::max(count, nn::kColumnsMinBatch));
   for (std::size_t i = 0; i < count; ++i) {
     const data::WorkloadSchedule& sched = *lanes[begin + i].schedule;
-    s.input(i, 0) = sched.voltage0;
-    s.input(i, 1) = sched.current0;
-    s.input(i, 2) = sched.temp0;
+    ws.sensors(0, i) = static_cast<T>(sched.voltage0);
+    ws.sensors(1, i) = static_cast<T>(sched.current0);
+    ws.sensors(2, i) = static_cast<T>(sched.temp0);
   }
-  const nn::Matrix& est = net.estimate_batch(s.input, s.ws);
+  nn::zero_pad_columns(ws.sensors, count);
+  const nn::MatrixT<T>& est = model.estimate_columns(ws.sensors, ws);
   // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
   s.soc.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
     const data::WorkloadSchedule& sched = *lanes[begin + i].schedule;
-    const double seed = clamp ? util::clamp01(est(i, 0)) : est(i, 0);
+    const double raw = static_cast<double>(est(0, i));
+    const double seed = clamp ? util::clamp01(raw) : raw;
     s.soc[i] = seed;
     core::Rollout& r = out[begin + i];
     // SOCPINN_HOT_ALLOW(assign): per-run output allocation, once per lane in
@@ -245,7 +252,7 @@ SOCPINN_HOT void RolloutEngine::roll_shard(const core::TwoBranchSnapshot& model,
   // SOCPINN_HOT_ALLOW(assign): warm scratch capacity, shard shape fixed
   s.plan_pos.assign(count, 0);
   for (std::size_t step = 0;; ++step) {
-    std::size_t active = 0;   // gathered NN rows this step
+    std::size_t active = 0;   // gathered NN columns this step
     bool any_alive = false;
     for (std::size_t i = 0; i < count; ++i) {
       const RolloutLane& lane = lanes[begin + i];
@@ -264,178 +271,17 @@ SOCPINN_HOT void RolloutEngine::roll_shard(const core::TwoBranchSnapshot& model,
     if (gather_reanchors(s, lanes, begin, count, step) > 0) {
       const std::size_t n = s.pending.size();
       // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-      s.sensor_input.resize(n, 3);
+      ws.sensors.resize(3, std::max(n, nn::kColumnsMinBatch));
       for (std::size_t g = 0; g < n; ++g) {
         const std::size_t i = s.pending[g];
         const data::ReanchorPlan& plan = *lanes[begin + i].reanchor;
         const std::size_t row = s.plan_pos[i] - 1;
-        s.sensor_input(g, 0) = plan.sensors(row, 0);
-        s.sensor_input(g, 1) = plan.sensors(row, 1);
-        s.sensor_input(g, 2) = plan.sensors(row, 2);
+        ws.sensors(0, g) = static_cast<T>(plan.sensors(row, 0));
+        ws.sensors(1, g) = static_cast<T>(plan.sensors(row, 1));
+        ws.sensors(2, g) = static_cast<T>(plan.sensors(row, 2));
       }
-      const nn::Matrix& fresh = net.estimate_batch(s.sensor_input, s.ws);
-      for (std::size_t g = 0; g < n; ++g) {
-        const std::size_t i = s.pending[g];
-        const double soc = clamp ? util::clamp01(fresh(g, 0)) : fresh(g, 0);
-        s.soc[i] = soc;
-        out[begin + i].soc.back() = soc;
-      }
-    }
-
-    if (active >= nn::kColumnsMinBatch) {
-      // Gather straight into the feature-major panel: batch is the
-      // unit-stride axis, no transpose round-trip per step.
-      // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-      s.input.resize(4, active);
-      for (std::size_t g = 0; g < active; ++g) {
-        const std::size_t i = s.gather[g];
-        const data::WorkloadSchedule& sched = *lanes[begin + i].schedule;
-        s.input(0, g) = s.soc[i];
-        s.input(1, g) = sched.workload(step, 0);
-        s.input(2, g) = sched.workload(step, 1);
-        s.input(3, g) = sched.workload(step, 2);
-      }
-      const nn::Matrix& pred =
-          net.predict_batch_columns(s.input, s.ws);
-      for (std::size_t g = 0; g < active; ++g) {
-        const std::size_t i = s.gather[g];
-        const double soc =
-            clamp ? util::clamp01(pred(0, g)) : pred(0, g);
-        s.soc[i] = soc;
-        // SOCPINN_HOT_ALLOW(push_back): within the trajectory capacity
-        // reserved in the seed section
-        out[begin + i].soc.push_back(soc);
-      }
-    } else if (active > 0) {
-      // Thin tail (most lanes retired): row-major staging keeps the
-      // small-batch kernels fast; both layouts agree bitwise.
-      // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-      s.input.resize(active, 4);
-      for (std::size_t g = 0; g < active; ++g) {
-        const std::size_t i = s.gather[g];
-        const data::WorkloadSchedule& sched = *lanes[begin + i].schedule;
-        s.input(g, 0) = s.soc[i];
-        s.input(g, 1) = sched.workload(step, 0);
-        s.input(g, 2) = sched.workload(step, 1);
-        s.input(g, 3) = sched.workload(step, 2);
-      }
-      const nn::Matrix& pred = net.predict_batch(s.input, s.ws);
-      for (std::size_t g = 0; g < active; ++g) {
-        const std::size_t i = s.gather[g];
-        const double soc =
-            clamp ? util::clamp01(pred(g, 0)) : pred(g, 0);
-        s.soc[i] = soc;
-        // SOCPINN_HOT_ALLOW(push_back): within the trajectory capacity
-        // reserved in the seed section
-        out[begin + i].soc.push_back(soc);
-      }
-    }
-
-    // Physics-only lanes advance with Eq. 1 in the same pass, each from
-    // its own lane params (bitwise equal to the old rated-capacity call
-    // at the default coulombic_eff of 1.0).
-    for (std::size_t i = 0; i < count; ++i) {
-      const RolloutLane& lane = lanes[begin + i];
-      if (lane.kind != LaneKind::kPhysicsOnly) continue;
-      const data::WorkloadSchedule& sched = *lane.schedule;
-      if (step >= sched.num_steps()) continue;
-      const double raw = core::eq1_predict(
-          s.soc[i], sched.workload(step, 0), sched.workload(step, 2),
-          lane.params);
-      const double soc = clamp ? util::clamp01(raw) : raw;
-      s.soc[i] = soc;
-      // SOCPINN_HOT_ALLOW(push_back): within the trajectory capacity
-      // reserved in the seed section
-      out[begin + i].soc.push_back(soc);
-    }
-  }
-}
-
-SOCPINN_HOT void RolloutEngine::roll_shard_f32(const core::TwoBranchSnapshot& model,
-                                   std::span<const RolloutLane> lanes,
-                                   std::span<core::Rollout> out,
-                                   std::size_t shard, std::size_t begin,
-                                   std::size_t end) {
-  // The f32 twin of roll_shard: identical gather/scatter structure, but
-  // every NN forward goes through the snapshot's feature-major panels at
-  // any active size — at reduced precision there is no bitwise row-major
-  // contract to preserve, so the small-batch dispatch disappears. Lane SoC
-  // state and trajectories stay f64 (they are API surface); only the
-  // panel arithmetic narrows.
-  const bool clamp = config_.clamp_soc;
-  const core::TwoBranchSnapshotF32& snap = model.f32();
-  ShardScratch& s = scratch_[shard];
-  const std::size_t count = end - begin;
-
-  // Seed: one batched Branch-1 estimate, staged as a 3 x count panel
-  // (padded up to the vectorized float tile like every f32 panel here).
-  const std::size_t seed_padded = std::max(count, nn::kColumnsMinBatch);
-  // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-  s.input_f32.resize(3, seed_padded);
-  for (std::size_t i = 0; i < count; ++i) {
-    const data::WorkloadSchedule& sched = *lanes[begin + i].schedule;
-    s.input_f32(0, i) = static_cast<float>(sched.voltage0);
-    s.input_f32(1, i) = static_cast<float>(sched.current0);
-    s.input_f32(2, i) = static_cast<float>(sched.temp0);
-  }
-  nn::zero_pad_columns(s.input_f32, count);
-  const nn::MatrixF32& est = snap.estimate_columns(s.input_f32, s.ws_f32);
-  // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-  s.soc.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const data::WorkloadSchedule& sched = *lanes[begin + i].schedule;
-    const double raw = static_cast<double>(est(0, i));
-    const double seed = clamp ? util::clamp01(raw) : raw;
-    s.soc[i] = seed;
-    core::Rollout& r = out[begin + i];
-    // SOCPINN_HOT_ALLOW(assign): per-run output allocation, once per lane in
-    // the seed section, outside the steady-state step loop
-    r.times_s.assign(sched.times_s.begin(), sched.times_s.end());
-    // SOCPINN_HOT_ALLOW(assign): per-run output allocation (see above)
-    r.truth.assign(sched.truth.begin(), sched.truth.end());
-    r.soc.clear();
-    // SOCPINN_HOT_ALLOW(reserve): per-run output allocation; sizes the
-    // trajectory once so the step loop's push_back never reallocates
-    r.soc.reserve(sched.times_s.size());
-    // SOCPINN_HOT_ALLOW(push_back): within the capacity reserved above
-    r.soc.push_back(seed);
-  }
-
-  // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-  s.gather.resize(count);
-  // SOCPINN_HOT_ALLOW(assign): warm scratch capacity, shard shape fixed
-  s.plan_pos.assign(count, 0);
-  for (std::size_t step = 0;; ++step) {
-    std::size_t active = 0;
-    bool any_alive = false;
-    for (std::size_t i = 0; i < count; ++i) {
-      const RolloutLane& lane = lanes[begin + i];
-      if (step >= lane.schedule->num_steps()) continue;
-      any_alive = true;
-      if (lane.kind == LaneKind::kCascade) s.gather[active++] = i;
-    }
-    if (!any_alive) break;
-
-    // Closed-loop re-anchors, f32 flavor: same firing scan, but the
-    // batched Branch-1 estimate goes through the snapshot's feature-major
-    // panel, padded to the float tile like every f32 panel here. Lane SoC
-    // and the trajectory stay f64 (API surface), as in the step below.
-    if (gather_reanchors(s, lanes, begin, count, step) > 0) {
-      const std::size_t n = s.pending.size();
-      const std::size_t padded = std::max(n, nn::kColumnsMinBatch);
-      // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-      s.sensor_input_f32.resize(3, padded);
-      for (std::size_t g = 0; g < n; ++g) {
-        const std::size_t i = s.pending[g];
-        const data::ReanchorPlan& plan = *lanes[begin + i].reanchor;
-        const std::size_t row = s.plan_pos[i] - 1;
-        s.sensor_input_f32(0, g) = static_cast<float>(plan.sensors(row, 0));
-        s.sensor_input_f32(1, g) = static_cast<float>(plan.sensors(row, 1));
-        s.sensor_input_f32(2, g) = static_cast<float>(plan.sensors(row, 2));
-      }
-      nn::zero_pad_columns(s.sensor_input_f32, n);
-      const nn::MatrixF32& fresh =
-          snap.estimate_columns(s.sensor_input_f32, s.ws_f32);
+      nn::zero_pad_columns(ws.sensors, n);
+      const nn::MatrixT<T>& fresh = model.estimate_columns(ws.sensors, ws);
       for (std::size_t g = 0; g < n; ++g) {
         const std::size_t i = s.pending[g];
         const double raw = static_cast<double>(fresh(0, g));
@@ -446,23 +292,21 @@ SOCPINN_HOT void RolloutEngine::roll_shard_f32(const core::TwoBranchSnapshot& mo
     }
 
     if (active > 0) {
-      // Thin batches are padded up to the 32-wide vectorized float tile
-      // (zero columns, outputs discarded): per-column panel results are
-      // independent, so padding changes nothing but speed — without it a
-      // ragged tail would crawl through the kernel's scalar remainder.
-      const std::size_t padded = std::max(active, nn::kColumnsMinBatch);
+      // Gather straight into the feature-major panel: batch is the
+      // unit-stride axis, no transpose round-trip per step.
+      nn::MatrixT<T>& input = ws.branch2_input;
       // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-      s.input_f32.resize(4, padded);
+      input.resize(4, std::max(active, nn::kColumnsMinBatch));
       for (std::size_t g = 0; g < active; ++g) {
         const std::size_t i = s.gather[g];
         const data::WorkloadSchedule& sched = *lanes[begin + i].schedule;
-        s.input_f32(0, g) = static_cast<float>(s.soc[i]);
-        s.input_f32(1, g) = static_cast<float>(sched.workload(step, 0));
-        s.input_f32(2, g) = static_cast<float>(sched.workload(step, 1));
-        s.input_f32(3, g) = static_cast<float>(sched.workload(step, 2));
+        input(0, g) = static_cast<T>(s.soc[i]);
+        input(1, g) = static_cast<T>(sched.workload(step, 0));
+        input(2, g) = static_cast<T>(sched.workload(step, 1));
+        input(3, g) = static_cast<T>(sched.workload(step, 2));
       }
-      nn::zero_pad_columns(s.input_f32, active);
-      const nn::MatrixF32& pred = snap.predict_columns(s.input_f32, s.ws_f32);
+      nn::zero_pad_columns(input, active);
+      const nn::MatrixT<T>& pred = model.predict_columns(input, ws);
       for (std::size_t g = 0; g < active; ++g) {
         const std::size_t i = s.gather[g];
         const double raw = static_cast<double>(pred(0, g));
@@ -474,9 +318,11 @@ SOCPINN_HOT void RolloutEngine::roll_shard_f32(const core::TwoBranchSnapshot& mo
       }
     }
 
-    // Physics-only lanes advance with Eq. 1 in f64, same as roll_shard:
-    // three flops gain nothing from narrowing and keep both precisions'
-    // physics baselines identical (per-lane params, like roll_shard).
+    // Physics-only lanes advance with Eq. 1 in f64 in the same pass, each
+    // from its own lane params (bitwise equal to the old rated-capacity
+    // call at the default coulombic_eff of 1.0): three flops gain nothing
+    // from narrowing, and both precisions' physics baselines stay
+    // identical.
     for (std::size_t i = 0; i < count; ++i) {
       const RolloutLane& lane = lanes[begin + i];
       if (lane.kind != LaneKind::kPhysicsOnly) continue;

@@ -8,10 +8,10 @@
 /// workload is extracted up front into a data::WorkloadSchedule, all lanes
 /// of a shard are seeded with one batched Branch-1 estimate, and each step
 /// advances every still-active lane of the shard with one batched Branch-2
-/// forward (feature-major once the active batch reaches the panel
-/// threshold). Lanes are sharded contiguously across the existing
-/// ThreadPool with a per-shard InferenceWorkspace, so the shared
-/// TwoBranchNet is only ever read.
+/// forward (a feature-major panel, zero-padded to the panel tile once the
+/// active batch thins out). Lanes are sharded contiguously across the
+/// existing ThreadPool with a per-shard workspace, so the shared model
+/// snapshot is only ever read.
 ///
 /// Ragged fleets (traces of different lengths) are handled with an
 /// active-lane mask: a lane retires the step its schedule runs out, the
@@ -42,6 +42,7 @@
 
 #include <memory>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/cell_params.hpp"
@@ -88,24 +89,26 @@ struct RolloutConfig {
   /// core::rollout_physics_only and FleetEngine route through it.
   /// Default: on.
   bool clamp_soc = true;
-  /// Scalar type of the per-step NN forwards. kFloat64 (default) is the
-  /// original path, bitwise unchanged. kFloat32 serves an f32 snapshot of
-  /// the net (weights + scaler stats converted once at engine
-  /// construction) through the same panel seam — ~2x SIMD width on the
-  /// per-step panels, SoC within ~1e-5 of the f64 path on the paper's
-  /// traces (tests pin 1e-4). Physics-only lanes always advance in f64
-  /// (Eq. 1 is three flops; there is nothing to vectorize). Requires a
-  /// trained net (fitted scalers); constructing with an untrained net
-  /// throws std::invalid_argument naming this knob.
+  /// Scalar type of the per-step NN forwards. Both precisions serve a
+  /// snapshot of the net (weights + scaler stats converted once, at
+  /// construction or swap_model) through feature-major panels padded to
+  /// nn::kColumnsMinBatch columns, so a thin tail or a batch-of-1 run
+  /// computes a 32-column panel per step. kFloat64 (default) is bitwise
+  /// identical to the net's own forwards. kFloat32 has ~2x SIMD width on
+  /// the per-step panels and SoC within ~1e-5 of f64 on the paper's
+  /// traces (tests pin 1e-4); it requires a trained net (fitted scalers),
+  /// and constructing with an untrained net throws std::invalid_argument
+  /// naming this knob. Physics-only lanes always advance in f64 (Eq. 1 is
+  /// three flops; there is nothing to vectorize).
   core::Precision precision = core::Precision::kFloat64;
 };
 
 class RolloutEngine {
  public:
-  /// Snapshots `net` once (deep copy; under kFloat32 also the converted
-  /// f32 twin) — the caller's net does NOT need to outlive the engine and
-  /// may keep training. Arguments are validated before the thread pool
-  /// spawns workers.
+  /// Converts `net` once into a snapshot at RolloutConfig::precision — the
+  /// caller's net does NOT need to outlive the engine and may keep
+  /// training. Arguments are validated before the thread pool spawns
+  /// workers.
   explicit RolloutEngine(const core::TwoBranchNet& net,
                          RolloutConfig config = {});
 
@@ -159,22 +162,17 @@ class RolloutEngine {
   [[nodiscard]] const RolloutConfig& config() const { return config_; }
 
  private:
-  /// Per-shard scratch: workspace, gather staging, and per-lane SoC state.
-  /// The f32 members are touched only under Precision::kFloat32.
+  /// Per-shard scratch: one snapshot workspace per precision (only the
+  /// engine's own is ever touched; the other stays empty), gather staging,
+  /// and per-lane SoC state.
   struct ShardScratch {
-    core::InferenceWorkspace ws;
-    nn::Matrix input;                ///< gathered raw rows of active lanes
-    std::vector<double> soc;         ///< current SoC per local lane
-    std::vector<std::size_t> gather; ///< local lane index per gathered row
-    core::InferenceWorkspaceT<float> ws_f32;
-    nn::MatrixT<float> input_f32;    ///< gathered feature-major f32 panel
-    // Re-anchor staging, separate from `input` so a closed-loop Branch-1
-    // batch never clobbers the step's Branch-2 gather (mirrors
-    // FleetEngine::ShardScratch's drain staging).
+    std::tuple<core::InferenceWorkspaceT<double>,
+               core::InferenceWorkspaceT<float>>
+        ws;
+    std::vector<double> soc;            ///< current SoC per local lane
+    std::vector<std::size_t> gather;    ///< local lane index per column
     std::vector<std::size_t> plan_pos;  ///< next plan entry per local lane
     std::vector<std::size_t> pending;   ///< local lanes re-anchoring now
-    nn::Matrix sensor_input;            ///< staged Branch-1 re-anchor batch
-    nn::MatrixT<float> sensor_input_f32;
   };
 
   /// Throws on invalid arguments (kFloat32 with an untrained net). Runs in
@@ -184,31 +182,25 @@ class RolloutEngine {
 
   /// Scans the shard's closed-loop lanes for plans firing at `step`,
   /// gathering the local lane indices into s.pending and advancing the
-  /// per-lane plan cursors. Returns the pending count. Shared by both
-  /// precision bodies; the batched Branch-1 estimate + scatter that
-  /// follows is per-precision.
+  /// per-lane plan cursors. Returns the pending count.
   static std::size_t gather_reanchors(ShardScratch& s,
                                       std::span<const RolloutLane> lanes,
                                       std::size_t begin, std::size_t count,
                                       std::size_t step);
 
-  /// One shard of run_into at f64 (the original, bitwise-frozen body) or
-  /// via the f32 snapshot (feature-major panels at every active size).
-  void roll_shard(const core::TwoBranchSnapshot& model,
+  /// One shard of run_into: every NN forward is a feature-major panel
+  /// through the snapshot at T, padded to nn::kColumnsMinBatch columns.
+  template <typename T>
+  void roll_shard(const core::TwoBranchSnapshotT<T>& model,
                   std::span<const RolloutLane> lanes,
                   std::span<core::Rollout> out, std::size_t shard,
                   std::size_t begin, std::size_t end)
       SOCPINN_REQUIRES(shard_exec_);
-  void roll_shard_f32(const core::TwoBranchSnapshot& model,
-                      std::span<const RolloutLane> lanes,
-                      std::span<core::Rollout> out, std::size_t shard,
-                      std::size_t begin, std::size_t end)
-      SOCPINN_REQUIRES(shard_exec_);
 
   /// Phantom shard-execution capability (see util::ThreadRole and the
-  /// FleetEngine twin): roll_shard / roll_shard_f32 REQUIRE it and only
-  /// run_into's pool-dispatch lambda enters it, so the per-shard scratch
-  /// cannot silently grow callers outside the sharded run.
+  /// FleetEngine twin): roll_shard REQUIRES it and only run_into's
+  /// pool-dispatch lambda enters it, so the per-shard scratch cannot
+  /// silently grow callers outside the sharded run.
   util::ThreadRole shard_exec_;
 
   RolloutConfig config_;  ///< initialized via validated(): throws first

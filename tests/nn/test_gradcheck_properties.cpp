@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "nn/dropout.hpp"
 #include "nn/loss.hpp"
-#include "util/rng.hpp"
 
 namespace socpinn::nn {
 namespace {
@@ -47,55 +43,6 @@ TEST(GradCheck, ValidatesArguments) {
   EXPECT_THROW(
       (void)check_gradient(p, g2, [] { return 0.0; }, 0.0),
       std::invalid_argument);
-}
-
-TEST(Dropout, InferenceIsIdentity) {
-  Dropout layer(0.5, util::Rng(1));
-  const Matrix x(4, 4, 2.0);
-  EXPECT_TRUE(layer.forward(x, /*train=*/false) == x);
-}
-
-TEST(Dropout, TrainingZeroesApproximatelyRateFraction) {
-  Dropout layer(0.3, util::Rng(2));
-  const Matrix x(100, 100, 1.0);
-  const Matrix y = layer.forward(x, /*train=*/true);
-  std::size_t zeros = 0;
-  for (double v : y.data()) {
-    if (v == 0.0) ++zeros;
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, 0.3, 0.02);
-}
-
-TEST(Dropout, SurvivorsAreScaledToPreserveExpectation) {
-  Dropout layer(0.25, util::Rng(3));
-  const Matrix x(50, 50, 1.0);
-  const Matrix y = layer.forward(x, /*train=*/true);
-  for (double v : y.data()) {
-    EXPECT_TRUE(v == 0.0 || std::fabs(v - 1.0 / 0.75) < 1e-12);
-  }
-  EXPECT_NEAR(y.sum() / 2500.0, 1.0, 0.05);
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  Dropout layer(0.5, util::Rng(4));
-  const Matrix x(10, 10, 1.0);
-  const Matrix y = layer.forward(x, /*train=*/true);
-  const Matrix g = layer.backward(Matrix(10, 10, 1.0));
-  // Gradient passes exactly where the forward did.
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    EXPECT_DOUBLE_EQ(g.data()[i], y.data()[i]);
-  }
-}
-
-TEST(Dropout, RejectsBadRate) {
-  EXPECT_THROW(Dropout(-0.1, util::Rng(1)), std::invalid_argument);
-  EXPECT_THROW(Dropout(1.0, util::Rng(1)), std::invalid_argument);
-}
-
-TEST(Dropout, ZeroRateIsIdentityEvenInTraining) {
-  Dropout layer(0.0, util::Rng(5));
-  const Matrix x(3, 3, 7.0);
-  EXPECT_TRUE(layer.forward(x, /*train=*/true) == x);
 }
 
 }  // namespace

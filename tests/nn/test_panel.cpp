@@ -16,8 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 
-#include "nn/dropout.hpp"
+#include "nn/layer.hpp"
 #include "nn/mlp.hpp"
 #include "nn/scaler.hpp"
 #include "nn/workspace.hpp"
@@ -251,10 +253,27 @@ TEST(MlpSnapshot, FloatSnapshotTracksDoubleWithinTolerance) {
   }
 }
 
+/// A layer kind the snapshot does not know: an elementwise pass-through,
+/// so the Mlp stays well-formed and only the snapshot's layer check fires.
+class PassThroughLayer final : public Layer {
+ public:
+  Matrix forward(const Matrix& input, bool /*train*/) override {
+    return input;
+  }
+  Matrix backward(const Matrix& grad_output) override { return grad_output; }
+  void infer_into(const Matrix& input, Matrix& out) const override {
+    copy_into(input, out);
+  }
+  [[nodiscard]] std::string name() const override { return "pass_through"; }
+  [[nodiscard]] std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<PassThroughLayer>(*this);
+  }
+};
+
 TEST(MlpSnapshot, RejectsUnsupportedLayers) {
   util::Rng rng(29);
   Mlp mlp = Mlp::make({3, 8, 1}, rng);
-  mlp.add(std::make_unique<Dropout>(0.5, rng.split()));
+  mlp.add(std::make_unique<PassThroughLayer>());
   EXPECT_THROW((void)MlpSnapshotT<float>::from(mlp), std::invalid_argument);
 }
 

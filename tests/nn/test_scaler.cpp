@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/rng.hpp"
 
@@ -148,6 +149,21 @@ TEST(StandardScaler, FromMomentsValidates) {
                std::invalid_argument);
   EXPECT_THROW((void)StandardScaler::from_moments({}, {}),
                std::invalid_argument);
+  EXPECT_THROW((void)StandardScaler::from_moments({1.0}, {-0.5}),
+               std::invalid_argument);
+  // NaN compares false against everything, so a `std <= 0` guard alone
+  // let it through; a model file with a NaN or Inf moment must fail to
+  // load instead of poisoning every forward.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW((void)StandardScaler::from_moments({1.0, 2.0}, {0.5, bad}),
+                 std::invalid_argument)
+        << "std " << bad;
+    EXPECT_THROW((void)StandardScaler::from_moments({bad, 2.0}, {0.5, 1.0}),
+                 std::invalid_argument)
+        << "mean " << bad;
+  }
 }
 
 TEST(StandardScaler, FitRejectsEmpty) {

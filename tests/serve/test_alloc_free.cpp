@@ -121,24 +121,39 @@ TEST(AllocFree, CascadeAndScalarWrappersSteadyState) {
 }
 
 TEST(AllocFree, FleetTickSteadyStateAllocatesNothing) {
+  // Wide shards, plus thin ones at both precisions: a 20-cell shard is
+  // zero-padded up to the nn::kColumnsMinBatch panel tile, a warm-up shape
+  // of its own.
+  struct Case {
+    std::size_t cells;
+    core::Precision precision;
+  };
+  static_assert(40 / 2 < nn::kColumnsMinBatch);
   const core::TwoBranchNet net = testing::make_fitted_net(21);
-  const std::size_t cells = 1000;
-  util::Rng rng(7);
-  nn::Matrix sensors(cells, 3);
-  nn::Matrix workload(cells, 3);
-  for (auto& v : sensors.data()) v = rng.uniform(-1.0, 1.0);
-  for (auto& v : workload.data()) v = rng.uniform(-1.0, 1.0);
+  for (const Case c : {Case{1000, core::Precision::kFloat64},
+                       Case{40, core::Precision::kFloat64},
+                       Case{40, core::Precision::kFloat32}}) {
+    const bool f32 = c.precision == core::Precision::kFloat32;
+    SCOPED_TRACE(::testing::Message()
+                 << c.cells << " cells, " << (f32 ? "f32" : "f64"));
+    util::Rng rng(7);
+    nn::Matrix sensors(c.cells, 3);
+    nn::Matrix workload(c.cells, 3);
+    for (auto& v : sensors.data()) v = rng.uniform(-1.0, 1.0);
+    for (auto& v : workload.data()) v = rng.uniform(-1.0, 1.0);
 
-  FleetConfig config;
-  config.threads = 2;
-  FleetEngine engine(net, cells, config);
-  engine.init_from_sensors(sensors);
-  engine.step(workload);  // warm-up tick sizes every shard's scratch
+    FleetConfig config;
+    config.threads = 2;
+    config.precision = c.precision;
+    FleetEngine engine(net, c.cells, config);
+    engine.init_from_sensors(sensors);
+    engine.step(workload);  // warm-up tick sizes every shard's scratch
 
-  const std::size_t before = allocs();
-  for (int tick = 0; tick < 25; ++tick) engine.step(workload);
-  EXPECT_EQ(allocs(), before) << "fleet tick allocated in steady state";
-  EXPECT_EQ(engine.ticks(), 26u);
+    const std::size_t before = allocs();
+    for (int tick = 0; tick < 25; ++tick) engine.step(workload);
+    EXPECT_EQ(allocs(), before) << "fleet tick allocated in steady state";
+    EXPECT_EQ(engine.ticks(), 26u);
+  }
 }
 
 TEST(AllocFree, FleetRunStagesOnceAndAllocatesNothing) {

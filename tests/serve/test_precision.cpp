@@ -83,7 +83,11 @@ TEST(SnapshotParity, DoubleSnapshotMatchesNetPanelsBitwise) {
 
 TEST(SnapshotParity, RequiresFittedScalers) {
   const core::TwoBranchNet unfitted({}, 5);  // scalers never fitted
-  EXPECT_THROW(core::TwoBranchSnapshotF32 snapshot(unfitted),
+  // A raw snapshot converts lazily, like the net itself: its first
+  // forward demands the fitted scaler.
+  const core::TwoBranchSnapshotF32 snapshot(unfitted);
+  core::InferenceWorkspaceT<float> ws;
+  EXPECT_THROW((void)snapshot.estimate_columns(nn::MatrixT<float>(3, 32), ws),
                std::logic_error);
   EXPECT_THROW(core::TwoBranchSnapshot(unfitted, core::Precision::kFloat32),
                std::invalid_argument);
@@ -91,6 +95,21 @@ TEST(SnapshotParity, RequiresFittedScalers) {
   // inference will still demand fitted scalers, but construction is lazy.
   EXPECT_NO_THROW(core::TwoBranchSnapshot(unfitted,
                                           core::Precision::kFloat64));
+}
+
+TEST(SnapshotParity, ServingAnUnfittedF64NetThrowsLogicError) {
+  // The lazy half of the contract above: the f64 snapshot of an unfitted
+  // net has no scaler moments, so the first serve call throws like the
+  // net's own inference instead of standardizing with missing moments.
+  const core::TwoBranchNet unfitted({}, 5);
+  FleetConfig config;
+  config.threads = 1;
+  FleetEngine fleet(unfitted, 4, config);
+  EXPECT_THROW(fleet.step(nn::Matrix(4, 3, 1.0)), std::logic_error);
+  RolloutEngine rollout(unfitted, {.threads = 1});
+  const data::WorkloadSchedule schedule =
+      data::build_workload_schedule(testing::synthetic_trace(40, 1), 30.0);
+  EXPECT_THROW((void)rollout.run_single(schedule), std::logic_error);
 }
 
 TEST(SnapshotParity, UntrainedF32EngineFailsAtConstructionNamingTheKnob) {
