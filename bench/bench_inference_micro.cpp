@@ -224,6 +224,16 @@ void report_cost_model() {
       "~300 M ops (400x memory, 260kx ops)\n");
 }
 
+/// 1 on an x86 build whose TUs lack __AVX2__ (SOCPINN_NATIVE=OFF) — the
+/// build flavor the x86 simd_* floors in bench/thresholds.json are set
+/// for, by the same rule as perfbench's build_flavor(). On a native build
+/// the scalar reference is already ISA-wide and those floors do not apply.
+#if (defined(__x86_64__) || defined(__i386__)) && !defined(__AVX2__)
+constexpr int kBuildPortable = 1;
+#else
+constexpr int kBuildPortable = 0;
+#endif
+
 /// Measures the batched-vs-per-sample comparison directly (wall clock +
 /// allocation counter) and writes BENCH_inference.json for machine
 /// consumption by CI and later scaling PRs.
@@ -424,6 +434,7 @@ void emit_bench_json(const char* path, const int kReps) {
                f32_max_abs_diff);
   std::fprintf(out, "  \"simd_active_isa\": \"%s\",\n",
                nn::simd::isa_name(nn::simd::active_isa()));
+  std::fprintf(out, "  \"build_portable\": %d,\n", kBuildPortable);
   for (int i = 0; i < nn::simd::kNumIsas; ++i) {
     std::fprintf(out, "  \"simd_supported_%s\": %d,\n",
                  nn::simd::isa_name(static_cast<nn::simd::Isa>(i)),

@@ -2,9 +2,8 @@
 /// \file simd.hpp
 /// Lane abstraction behind the explicitly vectorized panel kernels: a
 /// Vec<T, W> value wrapper with load / store / broadcast / mul_add, one
-/// specialization per ISA register type (AVX2, AVX-512F, NEON) plus a
-/// width-1 scalar fallback, so ONE tile body (panel_kernels_simd.hpp)
-/// serves every ISA.
+/// specialization per ISA register type (AVX2, AVX-512F, NEON), so ONE
+/// tile body (panel_kernels_simd.hpp) serves every ISA.
 ///
 /// Parity contract: mul_add is deliberately UNFUSED — a vector multiply
 /// followed by a vector add, two roundings, exactly the scalar template's
@@ -17,7 +16,7 @@
 ///
 /// Each specialization is guarded by the compiler's own ISA macro, so this
 /// header is safe to include from any TU: a TU compiled at the SSE2
-/// baseline sees only the scalar Vec, while the per-ISA kernel TUs
+/// baseline sees no specialization at all, while the per-ISA kernel TUs
 /// (compiled with -mavx2 / -mavx512f, or targeting aarch64) see theirs.
 
 #include <cstddef>
@@ -41,25 +40,6 @@ namespace socpinn::nn::simd {
 ///   (unfused; see header comment).
 template <typename T, int W>
 struct Vec;
-
-/// Width-1 fallback: lets the generic kernel body instantiate portably
-/// (used by tests to pin the vector body itself to the scalar arithmetic,
-/// independent of any ISA).
-template <typename T>
-struct Vec<T, 1> {
-  using Scalar = T;
-  static constexpr int kWidth = 1;
-  static constexpr int kTileVecs = 2;
-  T v;
-  static Vec load(const T* p) { return {*p}; }
-  static Vec broadcast(T x) { return {x}; }
-  void store(T* p) const { *p = v; }
-};
-
-template <typename T>
-inline Vec<T, 1> mul_add(Vec<T, 1> a, Vec<T, 1> b, Vec<T, 1> acc) {
-  return {acc.v + a.v * b.v};
-}
 
 #if defined(__AVX2__)
 // 16 ymm registers: 4x2 accumulator tile (8 regs) + loads + broadcast.

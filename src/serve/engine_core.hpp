@@ -1,0 +1,201 @@
+#pragma once
+/// \file engine_core.hpp
+/// The serving core under both engines. FleetEngine and RolloutEngine
+/// differ in what they advance (a fleet's cells per tick, a rollout's lanes
+/// per lockstep step) but not in how: both hold an RCU snapshot of the net,
+/// shard their batch contiguously across a ThreadPool with one workspace
+/// per shard, and run every Branch-1 / Branch-2 forward as a feature-major
+/// panel padded to nn::kColumnsMinBatch whose results are written back
+/// through one clamp policy. EngineCore owns exactly that shell, so each
+/// engine only says what it stages and where each SoC goes.
+///
+/// Shard boundaries depend on nothing but (n, num_threads()), and every
+/// panel column is computed independently of its neighbours and of the
+/// pad, so results are bitwise identical for any thread count and any
+/// shard width. After one warm-up call per shape the core allocates
+/// nothing.
+
+#include <algorithm>
+#include <cstddef>
+#include <memory>
+#include <tuple>
+#include <vector>
+
+#include "core/net_snapshot.hpp"
+#include "core/two_branch_net.hpp"
+#include "nn/mlp.hpp"
+#include "nn/panel.hpp"
+#include "serve/mailbox.hpp"
+#include "serve/thread_pool.hpp"
+#include "util/annotations.hpp"
+#include "util/math.hpp"
+
+namespace socpinn::serve {
+
+/// One Branch-2 input column: the SoC to advance and the workload it
+/// advances under.
+struct Branch2Row {
+  double soc = 0.0;
+  double avg_current = 0.0;
+  double avg_temp_c = 0.0;
+  double horizon_s = 0.0;
+};
+
+/// The synchronous side of the serve::is_finite policy for row-major
+/// `num_rows` x 3 batches (sensor or workload rows): throws
+/// std::invalid_argument "<who>: non-finite <row_name> <r>" for the first
+/// row r with a NaN or Inf field. Callers run it before any state changes,
+/// so a rejected batch leaves the engine exactly as it was.
+void require_finite_rows(const double* rows, std::size_t num_rows,
+                         const char* who, const char* row_name);
+
+class EngineCore {
+ public:
+  /// RCU-style model hot-swap: snapshots `net` at the engine's precision
+  /// on the calling thread (the expensive part — the weight and scaler
+  /// conversion) and atomically publishes it. A tick or run already in
+  /// flight finishes on the old snapshot; the next one serves the new one.
+  /// Safe to call from any thread, concurrently with ticks and runs.
+  void swap_model(const core::TwoBranchNet& net);
+
+  /// Hot-swap to a pre-built snapshot (shareable across engines, so a
+  /// fleet of engines converts a retrained model once). The snapshot's
+  /// precision must match the engine config's `precision`.
+  void swap_model(std::shared_ptr<const core::TwoBranchSnapshot> snapshot);
+
+  /// The currently published model snapshot.
+  [[nodiscard]] std::shared_ptr<const core::TwoBranchSnapshot> model() const {
+    return model_.load();
+  }
+
+  /// The panel-kernel ISA every forward of this process dispatches to
+  /// ("scalar", "avx2", "avx512", or "neon" — nn/panel_dispatch.hpp:
+  /// detection order AVX-512 > AVX2 > NEON > scalar, overridable via
+  /// SOCPINN_FORCE_ISA). Dispatch never changes results — every ISA's f64
+  /// kernel is bitwise identical to the scalar reference — so this is a
+  /// reporting surface for dashboards and bench logs, not a knob.
+  [[nodiscard]] const char* simd_isa() const;
+
+  [[nodiscard]] std::size_t num_threads() const { return pool_.size(); }
+
+ protected:
+  /// Validates, then converts `net` once at `precision` — the caller's net
+  /// may be retrained or freed as soon as this returns. kFloat32 needs a
+  /// trained net: the std::invalid_argument names `engine` and
+  /// `precision_knob` (e.g. "FleetEngine: FleetConfig::precision ...").
+  /// The panel-kernel ISA resolves here too, so a bad SOCPINN_FORCE_ISA
+  /// throws on the caller's thread. Both checks run before the pool spawns
+  /// workers: a bad argument never costs thread creation.
+  EngineCore(const core::TwoBranchNet& net, std::size_t threads,
+             core::Precision precision, bool clamp_soc, const char* engine,
+             const char* precision_knob);
+
+  /// The one write-back policy of every stored SoC — Branch-1 estimates,
+  /// Branch-2 predictions, Eq. 1 advances and directly seeded values:
+  /// clamped into [0, 1] unless the config's clamp_soc is off.
+  [[nodiscard]] double clamp_soc(double raw) const {
+    return clamp_ ? util::clamp01(raw) : raw;
+  }
+
+  /// Runs body(model, ws, shard, begin, end) over [0, n) split into
+  /// num_threads() contiguous shards, where `model` is the current
+  /// snapshot's TwoBranchSnapshotT<T> (acquired once, so every shard of
+  /// the call serves the same model and a concurrent swap lands on the
+  /// next call whole) and `ws` the shard's InferenceWorkspaceT<T>.
+  template <typename Body>
+  void for_each_shard(std::size_t n, Body&& body) {
+    const std::shared_ptr<const core::TwoBranchSnapshot> model = model_.load();
+    model->visit([&](const auto& forward) {
+      pool_.parallel_for(
+          n, [&](std::size_t shard, std::size_t begin, std::size_t end) {
+            body(forward, workspace(shard, forward), shard, begin, end);
+          });
+    });
+  }
+
+  /// The calling-thread twin of for_each_shard: body(model, ws) on shard
+  /// 0's workspace, for synchronous entry points that must not be called
+  /// concurrently with ticks anyway.
+  template <typename Body>
+  void on_calling_thread(Body&& body) {
+    const std::shared_ptr<const core::TwoBranchSnapshot> model = model_.load();
+    model->visit([&](const auto& forward) {
+      body(forward, workspace(0, forward));
+    });
+  }
+
+  /// One batched Branch-1 estimate of n columns: sensors(i) returns column
+  /// i's SensorReport, and store(i, soc) receives its clamped estimate.
+  template <typename T, typename Sensors, typename Store>
+  SOCPINN_HOT void estimate(const core::TwoBranchSnapshotT<T>& model,
+                            core::InferenceWorkspaceT<T>& ws, std::size_t n,
+                            Sensors&& sensors, Store&& store) const {
+    if (n == 0) return;
+    // SOCPINN_HOT_ALLOW(resize): warm capacity once the widest batch of
+    // this shard has run (test_alloc_free.cpp probes it)
+    ws.sensors.resize(3, std::max(n, nn::kColumnsMinBatch));
+    for (std::size_t i = 0; i < n; ++i) {
+      const SensorReport r = sensors(i);
+      ws.sensors(0, i) = static_cast<T>(r.voltage);
+      ws.sensors(1, i) = static_cast<T>(r.current);
+      ws.sensors(2, i) = static_cast<T>(r.temp_c);
+    }
+    nn::zero_pad_columns(ws.sensors, n);
+    const nn::MatrixT<T>& est = model.estimate_columns(ws.sensors, ws);
+    for (std::size_t i = 0; i < n; ++i) {
+      store(i, clamp_soc(static_cast<double>(est(0, i))));
+    }
+  }
+
+  /// One batched Branch-2 prediction of n columns: row(i) returns column
+  /// i's Branch2Row, and store(i, soc) receives its clamped prediction.
+  /// Every row is staged before the forward, so a store may overwrite the
+  /// state a row was read from.
+  template <typename T, typename Rows, typename Store>
+  SOCPINN_HOT void predict(const core::TwoBranchSnapshotT<T>& model,
+                           core::InferenceWorkspaceT<T>& ws, std::size_t n,
+                           Rows&& row, Store&& store) const {
+    if (n == 0) return;
+    nn::MatrixT<T>& input = ws.branch2_input;
+    // SOCPINN_HOT_ALLOW(resize): warm capacity once the widest batch of
+    // this shard has run (test_alloc_free.cpp probes it)
+    input.resize(4, std::max(n, nn::kColumnsMinBatch));
+    for (std::size_t i = 0; i < n; ++i) {
+      const Branch2Row r = row(i);
+      input(0, i) = static_cast<T>(r.soc);
+      input(1, i) = static_cast<T>(r.avg_current);
+      input(2, i) = static_cast<T>(r.avg_temp_c);
+      input(3, i) = static_cast<T>(r.horizon_s);
+    }
+    nn::zero_pad_columns(input, n);
+    const nn::MatrixT<T>& pred = model.predict_columns(input, ws);
+    for (std::size_t i = 0; i < n; ++i) {
+      store(i, clamp_soc(static_cast<double>(pred(0, i))));
+    }
+  }
+
+ private:
+  using Workspaces = std::tuple<core::InferenceWorkspaceT<double>,
+                                core::InferenceWorkspaceT<float>>;
+
+  /// Shard `shard`'s workspace at the snapshot's precision (the other
+  /// precision's stays empty).
+  template <typename T>
+  core::InferenceWorkspaceT<T>& workspace(
+      std::size_t shard, const core::TwoBranchSnapshotT<T>& /*model*/) {
+    return std::get<core::InferenceWorkspaceT<T>>(workspaces_[shard]);
+  }
+
+  const char* engine_;
+  const char* precision_knob_;
+  core::Precision precision_;
+  bool clamp_;
+  /// RCU publication point: every for_each_shard / on_calling_thread call
+  /// acquires exactly once, swap_model stores. Snapshots are immutable;
+  /// old ones die when the last in-flight call drops its reference.
+  core::SnapshotHandle model_;
+  ThreadPool pool_;
+  std::vector<Workspaces> workspaces_;  ///< one per pool shard
+};
+
+}  // namespace socpinn::serve

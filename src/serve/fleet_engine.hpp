@@ -40,8 +40,9 @@
 ///     serve::is_finite in mailbox.hpp is the policy, shared with the
 ///     synchronous reseed and the RolloutEngine re-anchor plans).
 ///   * The model is held as an atomically swappable shared_ptr to an
-///     immutable core::TwoBranchSnapshot (RCU-style). swap_model()
-///     converts once off the hot path and publishes between ticks:
+///     immutable core::TwoBranchSnapshot (RCU-style, owned by the shared
+///     serve::EngineCore). swap_model() converts once off the hot path and
+///     publishes between ticks:
 ///     every tick acquires the pointer exactly once at its top, so all
 ///     shards of a tick serve the same model, in-flight ticks finish on
 ///     the snapshot they started with (kept alive by that reference), and
@@ -51,17 +52,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "core/cell_params.hpp"
 #include "core/net_snapshot.hpp"
 #include "core/two_branch_net.hpp"
 #include "data/windowing.hpp"
+#include "serve/engine_core.hpp"
 #include "serve/mailbox.hpp"
-#include "serve/thread_pool.hpp"
 #include "util/sync.hpp"
 
 namespace socpinn::serve {
@@ -112,7 +111,9 @@ struct FleetConfig {
   core::CellParams default_params;
 };
 
-class FleetEngine {
+/// Model ownership and hot-swap (swap_model, model), simd_isa() and
+/// num_threads() come from the shared serve::EngineCore.
+class FleetEngine : public EngineCore {
  public:
   /// Converts `net` once into a snapshot at FleetConfig::precision — the
   /// caller's net does NOT need to outlive the engine and may keep
@@ -153,39 +154,24 @@ class FleetEngine {
   /// (num_cells x 3: avg current, avg temp, horizon_s) describes cell i's
   /// expected workload, and Branch 2 maps [SoC_i, workload_i] -> SoC_i'.
   /// Drains the mailbox first; cells with an active workload override use
-  /// the override instead of their row.
+  /// the override instead of their row. Rejects non-finite workload rows
+  /// with std::invalid_argument naming the row, before any state changes
+  /// (the policy init_from_sensors applies; run() holds it too).
   void step(const nn::Matrix& workload_raw);
 
   /// Convenience: `ticks` steps under one shared workload row
-  /// (avg current, avg temp, horizon_s) applied to every cell. The shared
-  /// row is staged into each shard's scratch once, before the tick loop;
-  /// only the SoC column is rewritten per tick. Each tick still drains
-  /// the mailbox (overrides replace the staged row for their cells).
+  /// (avg current, avg temp, horizon_s) applied to every cell — bitwise
+  /// identical to step() with that row repeated. Each tick drains the
+  /// mailbox (overrides replace the shared row for their cells).
   void run(double avg_current, double avg_temp_c, double horizon_s,
            std::size_t ticks);
 
   /// Schedule-driven variant: advances the whole fleet through every
   /// window of one shared data::WorkloadSchedule — tick w applies schedule
   /// row w to every cell. This is the seam serving shares with the Fig. 5
-  /// evaluation (see serve::RolloutEngine for per-lane schedules).
+  /// evaluation (see serve::RolloutEngine for per-lane schedules). The
+  /// whole schedule is checked before the first tick.
   void run(const data::WorkloadSchedule& schedule);
-
-  /// RCU-style model hot-swap: snapshots `net` on the calling thread (the
-  /// expensive part — the weight and scaler conversion) and atomically
-  /// publishes it. Ticks already in flight finish on the old
-  /// snapshot; the next tick serves the new one. Safe to call from any
-  /// thread, concurrently with ticks.
-  void swap_model(const core::TwoBranchNet& net);
-
-  /// Hot-swap to a pre-built snapshot (shareable across engines, so a
-  /// fleet of engines converts a retrained model once). The snapshot's
-  /// precision must match FleetConfig::precision.
-  void swap_model(std::shared_ptr<const core::TwoBranchSnapshot> snapshot);
-
-  /// The currently published model snapshot.
-  [[nodiscard]] std::shared_ptr<const core::TwoBranchSnapshot> model() const {
-    return model_.load();
-  }
 
   /// The engine's ingest mailbox. Producers publish per-cell sensor
   /// reports / workload overrides from any thread (one producer per cell);
@@ -261,97 +247,57 @@ class FleetEngine {
 
   [[nodiscard]] std::span<const double> soc() const { return soc_; }
   [[nodiscard]] std::size_t num_cells() const { return soc_.size(); }
-  [[nodiscard]] std::size_t num_threads() const { return pool_.size(); }
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
 
-  /// The panel-kernel ISA every forward of this process dispatches to
-  /// ("scalar", "avx2", "avx512", or "neon" — nn/panel_dispatch.hpp:
-  /// detection order AVX-512 > AVX2 > NEON > scalar, overridable via
-  /// SOCPINN_FORCE_ISA). Dispatch never changes results — every ISA's f64
-  /// kernel is bitwise identical to the scalar reference — so this is a
-  /// reporting surface for dashboards and bench logs, not a knob.
-  [[nodiscard]] const char* simd_isa() const;
-
  private:
-  /// Per-shard scratch: one snapshot workspace per precision (only the
-  /// engine's own is ever touched; the other stays empty) plus the
-  /// mailbox-drain staging.
-  struct ShardScratch {
-    std::tuple<core::InferenceWorkspaceT<double>,
-               core::InferenceWorkspaceT<float>>
-        ws;
+  /// Per-shard mailbox-drain staging, one cache line per shard: the
+  /// headers are written every tick, so neighbouring shards must not
+  /// share a line.
+  struct alignas(64) ShardScratch {
     std::vector<std::size_t> pending;   ///< cells with a fresh sensor report
     std::vector<SensorReport> reports;  ///< their drained payloads
   };
 
-  /// Throws on invalid arguments (empty fleet; kFloat32 with an untrained
-  /// net). Runs in the first member's initializer, before the thread pool
-  /// spawns workers or any state allocates.
-  static FleetConfig validated(const core::TwoBranchNet& net,
-                               std::size_t num_cells, FleetConfig config);
+  /// The workload rows one tick advances under: cell c's row starts at
+  /// data + c * stride — stride 3 over step()'s num_cells x 3 matrix,
+  /// stride 0 over run()'s one shared row.
+  struct WorkloadRows {
+    const double* data = nullptr;
+    std::size_t stride = 0;
+  };
 
-  /// One tick: runs tick_shard on every shard at the current snapshot's
-  /// precision. step() passes `workload_raw`; run() passes a shared `row3`
-  /// on its first tick and nullptr after (see tick_shard).
-  void tick_shards(const nn::Matrix* workload_raw, const double* row3)
-      SOCPINN_REQUIRES(tick_serial_);
+  /// Throws on invalid arguments (empty fleet, invalid default params).
+  /// Runs while the EngineCore base's arguments are evaluated, before the
+  /// thread pool spawns workers or any state allocates.
+  static FleetConfig validated(std::size_t num_cells, FleetConfig config);
 
-  /// The shard body: drain, Branch-1 re-seed, stage, overrides, Branch-2
-  /// forward, physics. Restages the workload rows from `workload_raw` row
-  /// `cell` (step()) or the shared `row3`; when both are null it reuses
-  /// the rows staged by the previous call (the run() fast path — only the
-  /// SoC row is rewritten).
-  template <typename T>
-  void tick_shard(ShardScratch& scratch,
-                  const core::TwoBranchSnapshotT<T>& model, std::size_t begin,
-                  std::size_t end, const nn::Matrix* workload_raw,
-                  const double* row3) SOCPINN_REQUIRES(shard_exec_);
+  /// One tick over every shard: drain, Branch-1 re-seed of the drained
+  /// reports, one Branch-2 panel over the shard (an active override
+  /// replaces its cell's row; physics-only cells keep their SoC), then
+  /// physics. `rows` is already validated.
+  void tick_shards(WorkloadRows rows) SOCPINN_REQUIRES(tick_serial_);
 
   /// Drains this shard's cell range of the mailbox: consumes param updates
   /// and workload overrides into the per-cell tables, and gathers every
   /// cell with a valid pending sensor report into scratch.pending /
-  /// scratch.reports for the following reanchor_batch. Allocation-free
-  /// once the drain staging is warm.
+  /// scratch.reports for the tick's Branch-1 re-seed — the same estimate
+  /// body init_from_sensors and reseed_from_sensors run, which (with
+  /// per-column independence) is the whole bitwise drain-equivalence
+  /// argument. Allocation-free once the drain staging is warm.
   void drain_shard(ShardScratch& scratch, std::size_t begin, std::size_t end)
       SOCPINN_REQUIRES(shard_exec_);
 
-  /// One batched Branch-1 re-anchor: estimates `scratch.reports` and
-  /// writes the clamped results to soc_[scratch.pending[i]]. The single
-  /// body behind init_from_sensors, reseed_from_sensors, and the mailbox
-  /// drain — the documented bitwise equivalence of those three paths IS
-  /// this sharing (plus per-column independence of the batched estimate).
-  template <typename T>
-  void reanchor_batch(ShardScratch& scratch,
-                      const core::TwoBranchSnapshotT<T>& model)
-      SOCPINN_REQUIRES(shard_exec_);
-
-  /// Rewrites the staged workload slots of every override-active cell in
-  /// [begin, begin+count) — after any staging, before the forward, every
-  /// tick, so overrides survive both restaging and the run() fast path.
-  template <typename T>
-  void apply_overrides(nn::MatrixT<T>& input, std::size_t begin,
-                       std::size_t count) SOCPINN_REQUIRES(shard_exec_);
+  /// The workload `cell` advances under this tick: its active override,
+  /// else its row of `rows`. Always the raw f64 source, so physics cells
+  /// advance in full precision under both engine precisions.
+  [[nodiscard]] WorkloadOverride workload_of(std::size_t cell,
+                                             WorkloadRows rows) const;
 
   /// Advances every CellMode::kPhysicsOnly cell of [begin, end) with
   /// Eq. 1 from its own params — after the shard's NN forward (whose
   /// write-back skips physics cells, so the prior SoC is still intact
-  /// here). The workload comes from the cell's active override when set,
-  /// else from `workload_raw` row `cell` (step()) or the shared `row3`
-  /// (run()) — always the raw f64 source, never the staged panel, so
-  /// physics advances in full precision under both engine precisions
-  /// (matching RolloutEngine's physics lanes).
-  void advance_physics(std::size_t begin, std::size_t end,
-                       const nn::Matrix* workload_raw, const double* row3)
-      SOCPINN_REQUIRES(shard_exec_);
-
-  /// Branch-2 forward + clamped write-back of the shard's cascade cells.
-  /// `ws.branch2_input` holds the staged raw Branch-2 panel: feature-major
-  /// 4 x max(count, nn::kColumnsMinBatch), pad columns zero, at both
-  /// precisions and every shard size.
-  template <typename T>
-  void forward_shard(core::InferenceWorkspaceT<T>& ws,
-                     const core::TwoBranchSnapshotT<T>& model,
-                     std::size_t begin, std::size_t count)
+  /// here), under workload_of (matching RolloutEngine's physics lanes).
+  void advance_physics(std::size_t begin, std::size_t end, WorkloadRows rows)
       SOCPINN_REQUIRES(shard_exec_);
 
   /// Owning mailbox or a view over FleetConfig::external_mailbox_slots,
@@ -365,19 +311,13 @@ class FleetEngine {
   /// so a new entry point that reaches the tick machinery without
   /// stating the "no concurrent ticks" contract fails the clang
   /// -Wthread-safety build. shard_exec_ is the shard-execution surface:
-  /// the per-shard helpers REQUIRE it and only the pool-dispatch lambdas
-  /// (and the synchronous reseed path) enter it, so shard-local state
-  /// like override_ / params_ cannot silently grow callers outside the
-  /// sharded tick.
+  /// the per-shard helpers REQUIRE it and only the shard-body lambdas
+  /// (pool-dispatched or on the calling thread) enter it, so shard-local
+  /// state like override_ / params_ cannot silently grow callers outside
+  /// the sharded tick.
   util::ThreadRole tick_serial_;
   util::ThreadRole shard_exec_;
 
-  FleetConfig config_;  ///< initialized via validated(): throws first
-  /// RCU publication point: ticks acquire exactly once at their top,
-  /// swap_model stores. Snapshots are immutable; old ones die when the
-  /// last in-flight tick drops its reference.
-  core::SnapshotHandle model_;
-  ThreadPool pool_;
   std::vector<ShardScratch> scratch_;  ///< one per pool thread
   std::vector<double> soc_;
   Mailbox mailbox_;
@@ -400,10 +340,6 @@ class FleetEngine {
   std::atomic<std::uint64_t> dropped_sensor_reports_{0};
   std::atomic<std::uint64_t> dropped_workload_overrides_{0};
   std::atomic<std::uint64_t> dropped_param_updates_{0};
-  /// The persisted shared workload row of the run() fast path — the f64
-  /// source advance_physics reads when tick_shard reuses staged rows
-  /// (the f32 staged panel would lose bits).
-  double shared_row_[3] = {0.0, 0.0, 0.0};
   std::uint64_t ticks_ = 0;
 };
 

@@ -307,39 +307,21 @@ class Mailbox {
   /// the shard owning the cell).
   SOCPINN_HOT bool consume_sensors(std::size_t cell, SensorReport& out) {
     MailboxSlot& slot = slots_checked(cell);
-    double v[3];
-    const std::atomic_ref<std::uint64_t> cursor_ref(slot.sensor_cursor);
-    std::uint64_t cursor = cursor_ref.load(std::memory_order_relaxed);
-    if (!slot.sensors.consume(cursor, v)) return false;
-    cursor_ref.store(cursor, std::memory_order_relaxed);
-    out = {v[0], v[1], v[2]};
-    return true;
+    return consume(slot.sensors, slot.sensor_cursor, out);
   }
 
   /// Consumes the newest unseen workload override for `cell`, if any.
   /// Same consumer-side contract as consume_sensors.
   SOCPINN_HOT bool consume_workload(std::size_t cell, WorkloadOverride& out) {
     MailboxSlot& slot = slots_checked(cell);
-    double v[3];
-    const std::atomic_ref<std::uint64_t> cursor_ref(slot.workload_cursor);
-    std::uint64_t cursor = cursor_ref.load(std::memory_order_relaxed);
-    if (!slot.workload.consume(cursor, v)) return false;
-    cursor_ref.store(cursor, std::memory_order_relaxed);
-    out = {v[0], v[1], v[2]};
-    return true;
+    return consume(slot.workload, slot.workload_cursor, out);
   }
 
   /// Consumes the newest unseen param update for `cell`, if any. Same
   /// consumer-side contract as consume_sensors.
   SOCPINN_HOT bool consume_params(std::size_t cell, ParamUpdate& out) {
     MailboxSlot& slot = slots_checked(cell);
-    double v[3];
-    const std::atomic_ref<std::uint64_t> cursor_ref(slot.param_cursor);
-    std::uint64_t cursor = cursor_ref.load(std::memory_order_relaxed);
-    if (!slot.params.consume(cursor, v)) return false;
-    cursor_ref.store(cursor, std::memory_order_relaxed);
-    out = {v[0], v[1], v[2]};
-    return true;
+    return consume(slot.params, slot.param_cursor, out);
   }
 
   /// Whether `cell` has an unconsumed (or in-flight) message of any
@@ -360,6 +342,20 @@ class Mailbox {
   }
 
  private:
+  /// The one consume body behind consume_*: reads `slot` past its consumer
+  /// cursor word `cursor` into a three-double message.
+  template <typename Message>
+  SOCPINN_HOT static bool consume(const detail::SeqlockSlot3& slot,
+                                  std::uint64_t& cursor, Message& out) {
+    double v[3];
+    const std::atomic_ref<std::uint64_t> cursor_ref(cursor);
+    std::uint64_t seen = cursor_ref.load(std::memory_order_relaxed);
+    if (!slot.consume(seen, v)) return false;
+    cursor_ref.store(seen, std::memory_order_relaxed);
+    out = {v[0], v[1], v[2]};
+    return true;
+  }
+
   static std::size_t check_cells(std::size_t num_cells) {
     if (num_cells == 0) {
       throw std::invalid_argument("Mailbox: need at least one cell");

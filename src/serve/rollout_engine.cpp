@@ -1,14 +1,10 @@
 #include "serve/rollout_engine.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
-#include "nn/panel_dispatch.hpp"
 #include "serve/mailbox.hpp"
 #include "util/annotations.hpp"
-#include "util/math.hpp"
 
 namespace socpinn::serve {
 
@@ -53,53 +49,12 @@ void validate_plan(std::size_t lane_index, const RolloutLane& lane) {
 
 }  // namespace
 
-RolloutConfig RolloutEngine::validated(const core::TwoBranchNet& net,
-                                       RolloutConfig config) {
-  // Runs before the thread pool spawns workers: a bad argument must not
-  // cost thread creation.
-  if (config.precision == core::Precision::kFloat32) {
-    core::require_trained_for_f32(net,
-                                  "RolloutEngine: RolloutConfig::precision");
-  }
-  // Force the panel-kernel ISA resolution now: a bad SOCPINN_FORCE_ISA
-  // value throws std::invalid_argument here, on the caller's thread,
-  // instead of from the first run's forward inside a pool worker.
-  (void)nn::simd::active_isa();
-  return config;
-}
-
-const char* RolloutEngine::simd_isa() const {
-  return nn::simd::isa_name(nn::simd::active_isa());
-}
-
 RolloutEngine::RolloutEngine(const core::TwoBranchNet& net,
                              RolloutConfig config)
-    : config_(validated(net, config)),
-      // Weights and scaler stats are converted exactly once, off the hot
-      // path; every run serves the immutable snapshot published here or by
-      // a later swap_model().
-      model_(std::make_shared<const core::TwoBranchSnapshot>(
-          net, config.precision)),
-      pool_(config.threads),
-      scratch_(pool_.size()) {}
-
-void RolloutEngine::swap_model(const core::TwoBranchNet& net) {
-  swap_model(std::make_shared<const core::TwoBranchSnapshot>(
-      net, config_.precision));
-}
-
-void RolloutEngine::swap_model(
-    std::shared_ptr<const core::TwoBranchSnapshot> snapshot) {
-  if (snapshot == nullptr) {
-    throw std::invalid_argument("RolloutEngine::swap_model: null snapshot");
-  }
-  if (snapshot->precision() != config_.precision) {
-    throw std::invalid_argument(
-        "RolloutEngine::swap_model: snapshot precision does not match "
-        "RolloutConfig::precision");
-  }
-  model_.store(std::move(snapshot));
-}
+    : EngineCore(net, config.threads, config.precision, config.clamp_soc,
+                 "RolloutEngine", "RolloutConfig::precision"),
+      config_(config),
+      scratch_(num_threads()) {}
 
 std::vector<core::Rollout> RolloutEngine::run(
     std::span<const RolloutLane> lanes) {
@@ -155,18 +110,14 @@ void RolloutEngine::run_into(std::span<const RolloutLane> lanes,
 
   // One acquire per run: every shard and step of this run serves the same
   // snapshot, and a concurrent swap_model lands on the next run whole.
-  const std::shared_ptr<const core::TwoBranchSnapshot> model =
-      model_.load();
-  model->visit([&](const auto& forward) {
-    pool_.parallel_for(
-        lanes.size(),
-        [&](std::size_t shard, std::size_t begin, std::size_t end) {
-          // Lambdas are analyzed as separate functions with an empty
-          // lockset, so each pool job enters the shard-execution role
-          // itself before touching the REQUIRES(shard_exec_) body.
-          const util::RoleGuard shard_scope(shard_exec_);
-          roll_shard(forward, lanes, out, shard, begin, end);
-        });
+  for_each_shard(lanes.size(), [&](const auto& model, auto& ws,
+                                   std::size_t shard, std::size_t begin,
+                                   std::size_t end) {
+    // Lambdas are analyzed as separate functions with an empty lockset,
+    // so the shard body enters the shard-execution role itself before
+    // touching the REQUIRES(shard_exec_) body.
+    const util::RoleGuard shard_scope(shard_exec_);
+    roll_shard(model, ws, scratch_[shard], lanes, out, begin, end);
   });
 }
 
@@ -196,53 +147,44 @@ SOCPINN_HOT std::size_t RolloutEngine::gather_reanchors(ShardScratch& s,
 
 template <typename T>
 SOCPINN_HOT void RolloutEngine::roll_shard(
-    const core::TwoBranchSnapshotT<T>& model,
-    std::span<const RolloutLane> lanes, std::span<core::Rollout> out,
-    std::size_t shard, std::size_t begin, std::size_t end) {
-  // Every NN forward is a feature-major panel padded up to the panel tile
-  // (zero columns, outputs discarded): per-column results are independent
-  // of the panel width, so padding changes nothing but speed — a ragged
-  // tail never crawls through a kernel's scalar remainder. Lane SoC state
-  // and trajectories stay f64 (they are API surface); only the panel
-  // arithmetic runs at T.
-  const bool clamp = config_.clamp_soc;
-  ShardScratch& s = scratch_[shard];
-  core::InferenceWorkspaceT<T>& ws =
-      std::get<core::InferenceWorkspaceT<T>>(s.ws);
+    const core::TwoBranchSnapshotT<T>& model, core::InferenceWorkspaceT<T>& ws,
+    ShardScratch& s, std::span<const RolloutLane> lanes,
+    std::span<core::Rollout> out, std::size_t begin, std::size_t end) {
+  // Every NN forward is a padded panel (EngineCore::estimate / predict):
+  // a ragged tail never crawls through a kernel's scalar remainder. Lane
+  // SoC state and trajectories stay f64 (they are API surface); only the
+  // panel arithmetic runs at T.
   const std::size_t count = end - begin;
+  const auto schedule = [&](std::size_t i) -> const data::WorkloadSchedule& {
+    return *lanes[begin + i].schedule;
+  };
 
-  // Seed: one batched Branch-1 estimate over the shard's lanes —
-  // the only time voltage is consumed (Fig. 2 discipline).
-  // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-  ws.sensors.resize(3, std::max(count, nn::kColumnsMinBatch));
-  for (std::size_t i = 0; i < count; ++i) {
-    const data::WorkloadSchedule& sched = *lanes[begin + i].schedule;
-    ws.sensors(0, i) = static_cast<T>(sched.voltage0);
-    ws.sensors(1, i) = static_cast<T>(sched.current0);
-    ws.sensors(2, i) = static_cast<T>(sched.temp0);
-  }
-  nn::zero_pad_columns(ws.sensors, count);
-  const nn::MatrixT<T>& est = model.estimate_columns(ws.sensors, ws);
   // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
   s.soc.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const data::WorkloadSchedule& sched = *lanes[begin + i].schedule;
-    const double raw = static_cast<double>(est(0, i));
-    const double seed = clamp ? util::clamp01(raw) : raw;
-    s.soc[i] = seed;
-    core::Rollout& r = out[begin + i];
-    // SOCPINN_HOT_ALLOW(assign): per-run output allocation, once per lane in
-    // the seed section, outside the steady-state step loop
-    r.times_s.assign(sched.times_s.begin(), sched.times_s.end());
-    // SOCPINN_HOT_ALLOW(assign): per-run output allocation (see above)
-    r.truth.assign(sched.truth.begin(), sched.truth.end());
-    r.soc.clear();
-    // SOCPINN_HOT_ALLOW(reserve): per-run output allocation; sizes the
-    // trajectory once so the step loop's push_back never reallocates
-    r.soc.reserve(sched.times_s.size());
-    // SOCPINN_HOT_ALLOW(push_back): within the capacity reserved above
-    r.soc.push_back(seed);
-  }
+  // Seed: one batched Branch-1 estimate over the shard's lanes —
+  // the only time voltage is consumed (Fig. 2 discipline).
+  estimate(
+      model, ws, count,
+      [&](std::size_t i) {
+        const data::WorkloadSchedule& sched = schedule(i);
+        return SensorReport{sched.voltage0, sched.current0, sched.temp0};
+      },
+      [&](std::size_t i, double seed) {
+        const data::WorkloadSchedule& sched = schedule(i);
+        s.soc[i] = seed;
+        core::Rollout& r = out[begin + i];
+        // SOCPINN_HOT_ALLOW(assign): per-run output allocation, once per
+        // lane in the seed section, outside the steady-state step loop
+        r.times_s.assign(sched.times_s.begin(), sched.times_s.end());
+        // SOCPINN_HOT_ALLOW(assign): per-run output allocation (see above)
+        r.truth.assign(sched.truth.begin(), sched.truth.end());
+        r.soc.clear();
+        // SOCPINN_HOT_ALLOW(reserve): per-run output allocation; sizes the
+        // trajectory once so the step loop's push_back never reallocates
+        r.soc.reserve(sched.times_s.size());
+        // SOCPINN_HOT_ALLOW(push_back): within the capacity reserved above
+        r.soc.push_back(seed);
+      });
 
   // Lockstep steps. A lane is active while its schedule still has a
   // window at `step`; retired lanes drop out of the gather without
@@ -268,55 +210,36 @@ SOCPINN_HOT void RolloutEngine::roll_shard(
     // timestamp and feeds this same step's Branch-2 / Eq. 1 input. A plan
     // step is < num_steps, so every firing lane is still alive and its
     // trajectory's last entry is the point at times_s[step].
-    if (gather_reanchors(s, lanes, begin, count, step) > 0) {
-      const std::size_t n = s.pending.size();
-      // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-      ws.sensors.resize(3, std::max(n, nn::kColumnsMinBatch));
-      for (std::size_t g = 0; g < n; ++g) {
-        const std::size_t i = s.pending[g];
-        const data::ReanchorPlan& plan = *lanes[begin + i].reanchor;
-        const std::size_t row = s.plan_pos[i] - 1;
-        ws.sensors(0, g) = static_cast<T>(plan.sensors(row, 0));
-        ws.sensors(1, g) = static_cast<T>(plan.sensors(row, 1));
-        ws.sensors(2, g) = static_cast<T>(plan.sensors(row, 2));
-      }
-      nn::zero_pad_columns(ws.sensors, n);
-      const nn::MatrixT<T>& fresh = model.estimate_columns(ws.sensors, ws);
-      for (std::size_t g = 0; g < n; ++g) {
-        const std::size_t i = s.pending[g];
-        const double raw = static_cast<double>(fresh(0, g));
-        const double soc = clamp ? util::clamp01(raw) : raw;
-        s.soc[i] = soc;
-        out[begin + i].soc.back() = soc;
-      }
-    }
+    estimate(
+        model, ws, gather_reanchors(s, lanes, begin, count, step),
+        [&](std::size_t g) {
+          const std::size_t i = s.pending[g];
+          const data::ReanchorPlan& plan = *lanes[begin + i].reanchor;
+          const std::size_t row = s.plan_pos[i] - 1;
+          return SensorReport{plan.sensors(row, 0), plan.sensors(row, 1),
+                              plan.sensors(row, 2)};
+        },
+        [&](std::size_t g, double soc) {
+          const std::size_t i = s.pending[g];
+          s.soc[i] = soc;
+          out[begin + i].soc.back() = soc;
+        });
 
-    if (active > 0) {
-      // Gather straight into the feature-major panel: batch is the
-      // unit-stride axis, no transpose round-trip per step.
-      nn::MatrixT<T>& input = ws.branch2_input;
-      // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-      input.resize(4, std::max(active, nn::kColumnsMinBatch));
-      for (std::size_t g = 0; g < active; ++g) {
-        const std::size_t i = s.gather[g];
-        const data::WorkloadSchedule& sched = *lanes[begin + i].schedule;
-        input(0, g) = static_cast<T>(s.soc[i]);
-        input(1, g) = static_cast<T>(sched.workload(step, 0));
-        input(2, g) = static_cast<T>(sched.workload(step, 1));
-        input(3, g) = static_cast<T>(sched.workload(step, 2));
-      }
-      nn::zero_pad_columns(input, active);
-      const nn::MatrixT<T>& pred = model.predict_columns(input, ws);
-      for (std::size_t g = 0; g < active; ++g) {
-        const std::size_t i = s.gather[g];
-        const double raw = static_cast<double>(pred(0, g));
-        const double soc = clamp ? util::clamp01(raw) : raw;
-        s.soc[i] = soc;
-        // SOCPINN_HOT_ALLOW(push_back): within the trajectory capacity
-        // reserved in the seed section
-        out[begin + i].soc.push_back(soc);
-      }
-    }
+    predict(
+        model, ws, active,
+        [&](std::size_t g) {
+          const std::size_t i = s.gather[g];
+          const data::WorkloadSchedule& sched = schedule(i);
+          return Branch2Row{s.soc[i], sched.workload(step, 0),
+                            sched.workload(step, 1), sched.workload(step, 2)};
+        },
+        [&](std::size_t g, double soc) {
+          const std::size_t i = s.gather[g];
+          s.soc[i] = soc;
+          // SOCPINN_HOT_ALLOW(push_back): within the trajectory capacity
+          // reserved in the seed section
+          out[begin + i].soc.push_back(soc);
+        });
 
     // Physics-only lanes advance with Eq. 1 in f64 in the same pass, each
     // from its own lane params (bitwise equal to the old rated-capacity
@@ -328,10 +251,9 @@ SOCPINN_HOT void RolloutEngine::roll_shard(
       if (lane.kind != LaneKind::kPhysicsOnly) continue;
       const data::WorkloadSchedule& sched = *lane.schedule;
       if (step >= sched.num_steps()) continue;
-      const double raw = core::eq1_predict(
+      const double soc = clamp_soc(core::eq1_predict(
           s.soc[i], sched.workload(step, 0), sched.workload(step, 2),
-          lane.params);
-      const double soc = clamp ? util::clamp01(raw) : raw;
+          lane.params));
       s.soc[i] = soc;
       // SOCPINN_HOT_ALLOW(push_back): within the trajectory capacity
       // reserved in the seed section

@@ -40,9 +40,7 @@
 /// count, and re-anchor steps stay allocation-free once warm. Open-loop,
 /// closed-loop, and physics-only lanes mix freely in one pass.
 
-#include <memory>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "core/cell_params.hpp"
@@ -50,7 +48,7 @@
 #include "core/predictor.hpp"
 #include "core/two_branch_net.hpp"
 #include "data/windowing.hpp"
-#include "serve/thread_pool.hpp"
+#include "serve/engine_core.hpp"
 #include "util/sync.hpp"
 
 namespace socpinn::serve {
@@ -103,7 +101,11 @@ struct RolloutConfig {
   core::Precision precision = core::Precision::kFloat64;
 };
 
-class RolloutEngine {
+/// Model ownership and hot-swap (swap_model, model), simd_isa() and
+/// num_threads() come from the shared serve::EngineCore. A run acquires the
+/// model exactly once, at its top, so every shard and step of one run
+/// serves the same model and a concurrent swap lands on the next run.
+class RolloutEngine : public EngineCore {
  public:
   /// Converts `net` once into a snapshot at RolloutConfig::precision — the
   /// caller's net does NOT need to outlive the engine and may keep
@@ -111,23 +113,6 @@ class RolloutEngine {
   /// workers.
   explicit RolloutEngine(const core::TwoBranchNet& net,
                          RolloutConfig config = {});
-
-  /// RCU-style model hot-swap: snapshots `net` on the calling thread and
-  /// atomically publishes it. A run_into already in flight finishes on the
-  /// old snapshot (a run acquires the model exactly once, at its top, so
-  /// every shard and step of one run serves the same model); the next run
-  /// serves the new one. Safe to call from any thread, concurrently with
-  /// runs.
-  void swap_model(const core::TwoBranchNet& net);
-
-  /// Hot-swap to a pre-built snapshot (shareable across engines). The
-  /// snapshot's precision must match RolloutConfig::precision.
-  void swap_model(std::shared_ptr<const core::TwoBranchSnapshot> snapshot);
-
-  /// The currently published model snapshot.
-  [[nodiscard]] std::shared_ptr<const core::TwoBranchSnapshot> model() const {
-    return model_.load();
-  }
 
   /// Rolls every lane to the end of its schedule in one lockstep pass.
   /// Returns one trajectory per lane, in lane order.
@@ -145,10 +130,6 @@ class RolloutEngine {
   void run_into(std::span<const RolloutLane> lanes,
                 std::span<core::Rollout> out);
 
-  /// The panel-kernel ISA every forward of this process dispatches to —
-  /// same reporting surface as FleetEngine::simd_isa().
-  [[nodiscard]] const char* simd_isa() const;
-
   /// Batch-of-1 convenience backing the legacy core:: wrappers. Pass a
   /// plan for a closed-loop single-trace rollout (core::rollout_closed_loop
   /// routes through this).
@@ -158,27 +139,18 @@ class RolloutEngine {
       const core::CellParams& params = {.capacity_ah = 0.0},
       const data::ReanchorPlan* reanchor = nullptr);
 
-  [[nodiscard]] std::size_t num_threads() const { return pool_.size(); }
   [[nodiscard]] const RolloutConfig& config() const { return config_; }
 
  private:
-  /// Per-shard scratch: one snapshot workspace per precision (only the
-  /// engine's own is ever touched; the other stays empty), gather staging,
-  /// and per-lane SoC state.
-  struct ShardScratch {
-    std::tuple<core::InferenceWorkspaceT<double>,
-               core::InferenceWorkspaceT<float>>
-        ws;
+  /// Per-shard scratch: gather staging and per-lane SoC state, aligned so
+  /// neighbouring shards never share a cache line (the vector headers are
+  /// written every step).
+  struct alignas(64) ShardScratch {
     std::vector<double> soc;            ///< current SoC per local lane
     std::vector<std::size_t> gather;    ///< local lane index per column
     std::vector<std::size_t> plan_pos;  ///< next plan entry per local lane
     std::vector<std::size_t> pending;   ///< local lanes re-anchoring now
   };
-
-  /// Throws on invalid arguments (kFloat32 with an untrained net). Runs in
-  /// the first member's initializer, before the thread pool spawns.
-  static RolloutConfig validated(const core::TwoBranchNet& net,
-                                 RolloutConfig config);
 
   /// Scans the shard's closed-loop lanes for plans firing at `step`,
   /// gathering the local lane indices into s.pending and advancing the
@@ -188,27 +160,22 @@ class RolloutEngine {
                                       std::size_t begin, std::size_t count,
                                       std::size_t step);
 
-  /// One shard of run_into: every NN forward is a feature-major panel
-  /// through the snapshot at T, padded to nn::kColumnsMinBatch columns.
+  /// One shard of run_into: the seed, every re-anchor and every step is
+  /// one EngineCore::estimate / predict panel through the snapshot at T.
   template <typename T>
   void roll_shard(const core::TwoBranchSnapshotT<T>& model,
+                  core::InferenceWorkspaceT<T>& ws, ShardScratch& s,
                   std::span<const RolloutLane> lanes,
-                  std::span<core::Rollout> out, std::size_t shard,
-                  std::size_t begin, std::size_t end)
-      SOCPINN_REQUIRES(shard_exec_);
+                  std::span<core::Rollout> out, std::size_t begin,
+                  std::size_t end) SOCPINN_REQUIRES(shard_exec_);
 
   /// Phantom shard-execution capability (see util::ThreadRole and the
   /// FleetEngine twin): roll_shard REQUIRES it and only run_into's
-  /// pool-dispatch lambda enters it, so the per-shard scratch cannot
+  /// shard-body lambda enters it, so the per-shard scratch cannot
   /// silently grow callers outside the sharded run.
   util::ThreadRole shard_exec_;
 
-  RolloutConfig config_;  ///< initialized via validated(): throws first
-  /// RCU publication point: each run acquires exactly once at its top,
-  /// swap_model stores. Snapshots are immutable; old ones die when the
-  /// last in-flight run drops its reference.
-  core::SnapshotHandle model_;
-  ThreadPool pool_;
+  RolloutConfig config_;
   std::vector<ShardScratch> scratch_;  ///< one per pool thread
 };
 

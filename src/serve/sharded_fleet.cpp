@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "core/model_io.hpp"
+#include "serve/engine_core.hpp"
 #include "serve/shard_worker.hpp"
 #include "serve/shm_layout.hpp"
 
@@ -199,16 +200,10 @@ void ShardedFleet::init_from_sensors(const nn::Matrix& sensors_raw) {
   }
   // Reject the whole batch before ANY worker sees it — the same
   // synchronous side of the serve::is_finite policy FleetEngine applies.
-  for (std::size_t r = 0; r < sensors_raw.rows(); ++r) {
-    if (!is_finite(SensorReport{sensors_raw(r, 0), sensors_raw(r, 1),
-                                sensors_raw(r, 2)})) {
-      throw std::invalid_argument(
-          "ShardedFleet::init_from_sensors: non-finite sensor row for cell " +
-          std::to_string(r));
-    }
-  }
-  const util::RoleGuard cmd(cmd_serial_);
   const double* rows = sensors_raw.data().data();
+  require_finite_rows(rows, num_cells(), "ShardedFleet::init_from_sensors",
+                      "sensor row for cell");
+  const util::RoleGuard cmd(cmd_serial_);
   for (Worker& w : workers_) {
     std::memcpy(w.input, rows + w.shard.begin * 3,
                 w.shard.size() * 3 * sizeof(double));
@@ -235,8 +230,10 @@ void ShardedFleet::step(const nn::Matrix& workload_raw) {
     throw std::invalid_argument(
         "ShardedFleet::step: need num_cells x 3 workload rows");
   }
-  const util::RoleGuard cmd(cmd_serial_);
   const double* rows = workload_raw.data().data();
+  require_finite_rows(rows, num_cells(), "ShardedFleet::step",
+                      "workload row for cell");
+  const util::RoleGuard cmd(cmd_serial_);
   for (Worker& w : workers_) {
     std::memcpy(w.input, rows + w.shard.begin * 3,
                 w.shard.size() * 3 * sizeof(double));
@@ -248,6 +245,8 @@ void ShardedFleet::step(const nn::Matrix& workload_raw) {
 
 void ShardedFleet::run(double avg_current, double avg_temp_c,
                        double horizon_s, std::size_t ticks) {
+  const double row[3] = {avg_current, avg_temp_c, horizon_s};
+  require_finite_rows(row, 1, "ShardedFleet::run", "workload row");
   const util::RoleGuard cmd(cmd_serial_);
   for (Worker& w : workers_) {
     w.header->param0 = avg_current;

@@ -106,7 +106,8 @@ class ShardedFleet {
 
   /// One fleet tick: row i of `workload_raw` (num_cells x 3) drives cell
   /// i. Scatters each worker's row slice through its segment, ticks all
-  /// workers, gathers SoC.
+  /// workers, gathers SoC. Non-finite rows are rejected like
+  /// init_from_sensors, before any worker sees the batch (run() too).
   void step(const nn::Matrix& workload_raw);
 
   /// `ticks` steps under one shared workload row for every cell.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -120,12 +122,51 @@ TEST(FleetEngine, ValidatesShapes) {
   EXPECT_THROW(engine.step(nn::Matrix(8, 4)), std::invalid_argument);
   const std::vector<double> too_small(3, 0.5);
   EXPECT_THROW(engine.set_soc(too_small), std::invalid_argument);
+
+  // Non-finite workload rows are rejected whole at every synchronous tick
+  // entry point, before any state changes — cascade and physics-only
+  // cells alike (ReLU would otherwise turn a NaN row into a finite,
+  // state-independent SoC, and Eq. 1 into NaN for good).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  util::Rng rng(3);
+  engine.init_from_sensors(random_sensors(8, rng));
+  engine.set_cell_mode(5, CellMode::kPhysicsOnly);
+  const std::vector<double> before(engine.soc().begin(), engine.soc().end());
+  nn::Matrix bad = random_workload(8, rng);
+  bad(3, 0) = kNaN;
+  try {
+    engine.step(bad);
+    FAIL() << "expected the non-finite row to be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("row 3"), std::string::npos)
+        << e.what();
+  }
+  bad(3, 0) = -1.0;
+  bad(5, 2) = kInf;
+  EXPECT_THROW(engine.step(bad), std::invalid_argument);
+  EXPECT_THROW(engine.run(kNaN, 25.0, 60.0, 2), std::invalid_argument);
+  EXPECT_THROW(engine.run(-2.0, 25.0, -kInf, 2), std::invalid_argument);
+  data::WorkloadSchedule schedule;
+  schedule.workload = nn::Matrix(3, 3);
+  for (auto& v : schedule.workload.data()) v = 1.0;
+  schedule.workload(2, 1) = kNaN;  // only the last window is bad
+  EXPECT_THROW(engine.run(schedule), std::invalid_argument);
+  schedule.workload = nn::Matrix(3, 2);
+  EXPECT_THROW(engine.run(schedule), std::invalid_argument);
+  EXPECT_EQ(engine.ticks(), 0u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(engine.soc()[i], before[i]) << "cell " << i;
+  }
+  engine.step(random_workload(8, rng));
+  EXPECT_EQ(engine.ticks(), 1u);
 }
 
 TEST(FleetEngine, RunMatchesExplicitSteps) {
-  // run() stages the shared row once and then rewrites only the SoC
-  // column; it must be bitwise identical to building the full workload
-  // matrix and calling step() per tick.
+  // run() applies one shared row to every cell; it must be bitwise
+  // identical to building the full workload matrix and calling step() per
+  // tick — also with physics-only cells and with mailbox messages drained
+  // between ticks.
   const core::TwoBranchNet net = testing::make_fitted_net(9);
   const std::size_t cells = 203;
   FleetConfig config;
@@ -151,6 +192,29 @@ TEST(FleetEngine, RunMatchesExplicitSteps) {
   EXPECT_EQ(staged.ticks(), stepped.ticks());
   for (std::size_t i = 0; i < cells; ++i) {
     EXPECT_EQ(staged.soc()[i], stepped.soc()[i]) << "cell " << i;
+  }
+
+  // Every third cell physics-only, and one workload override plus one
+  // sensor report published identically to both engines mid-way.
+  FleetEngine mixed_run(net, cells, config);
+  FleetEngine mixed_step(net, cells, config);
+  std::vector<CellMode> modes(cells, CellMode::kCascade);
+  for (std::size_t i = 0; i < cells; i += 3) modes[i] = CellMode::kPhysicsOnly;
+  for (FleetEngine* e : {&mixed_run, &mixed_step}) {
+    e->set_soc(start);
+    e->set_cell_modes(modes);
+  }
+  mixed_run.run(-2.5, 22.0, 45.0, 2);
+  for (int t = 0; t < 2; ++t) mixed_step.step(workload);
+  for (FleetEngine* e : {&mixed_run, &mixed_step}) {
+    e->mailbox().publish_workload(7, {-1.0, 30.0, 90.0});
+    e->mailbox().publish_sensors(9, {3.9, -1.5, 25.0});
+  }
+  mixed_run.run(-2.5, 22.0, 45.0, 2);
+  for (int t = 0; t < 2; ++t) mixed_step.step(workload);
+  EXPECT_EQ(mixed_run.ticks(), mixed_step.ticks());
+  for (std::size_t i = 0; i < cells; ++i) {
+    EXPECT_EQ(mixed_run.soc()[i], mixed_step.soc()[i]) << "cell " << i;
   }
 }
 

@@ -7,8 +7,8 @@
 ///  * reseed_from_sensors over the whole fleet reproduces
 ///    init_from_sensors bitwise (same batched estimate, row independence).
 ///  * Workload overrides are sticky: they replace the staged row from the
-///    drain tick on, across step() and the run() fast path alike, until a
-///    newer override supersedes them.
+///    drain tick on, across step() and run() alike, until a newer
+///    override supersedes them.
 ///  * Ingest under load: producers hammering the mailbox mid-tick never
 ///    tear a tick; once producers finish, the fleet lands in the exact
 ///    deterministic state implied by the final published messages.
@@ -245,8 +245,8 @@ TEST(LiveServing, SynchronousReseedRejectsNonFiniteSensors) {
 }
 
 TEST(LiveServing, WorkloadOverrideIsStickyAcrossRunFastPath) {
-  // A drained override replaces the staged row from its tick on — also on
-  // the run() fast path, where rows are staged once and persist.
+  // A drained override replaces the staged row from its tick on — also
+  // under run()'s shared row.
   const core::TwoBranchNet net = testing::make_fitted_net(9);
   const std::size_t cells = 10;
   FleetEngine engine(net, cells, {.threads = 2});
@@ -641,9 +641,9 @@ TEST(LiveServing, InvalidParamUpdatesAreSkippedAndCounted) {
 
 TEST(LiveServing, PhysicsModeCellsAdvanceWithEq1) {
   // A physics-mode cell ignores the NN write-back and advances with
-  // Eq. 1 from its own params — across step(), the run() fast path
-  // (where the shared row must survive as true f64, not the staged f32
-  // panel), and under a workload override.
+  // Eq. 1 from its own params — across step(), run() (whose shared row
+  // Eq. 1 must read as true f64, not as the staged f32 panel), and under a
+  // workload override.
   const core::TwoBranchNet net = testing::make_fitted_net(9);
   const std::size_t cells = 40;
   FleetEngine engine(net, cells, {.threads = 2});
@@ -680,7 +680,7 @@ TEST(LiveServing, PhysicsModeCellsAdvanceWithEq1) {
     EXPECT_EQ(engine.soc()[c], all_nn.soc()[c]) << "cell " << c;
   }
 
-  // run() fast path: the shared row drives Eq. 1 for the physics cell.
+  // run(): the shared row drives Eq. 1 for the physics cell.
   double expect7 = engine.soc()[7];
   engine.run(-2.0, 25.0, 60.0, 3);
   for (int t = 0; t < 3; ++t) {

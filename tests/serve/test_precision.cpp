@@ -424,6 +424,30 @@ TEST(FleetPrecision, SharedRowRunMatchesExplicitStepsAtF32) {
   for (std::size_t i = 0; i < cells; ++i) {
     EXPECT_EQ(staged.soc()[i], stepped.soc()[i]) << "cell " << i;
   }
+
+  // Every third cell physics-only (Eq. 1 must read the f64 row, not the
+  // f32 panel), and one workload override plus one sensor report
+  // published identically to both engines mid-way.
+  FleetEngine mixed_run(net, cells, config);
+  FleetEngine mixed_step(net, cells, config);
+  std::vector<CellMode> modes(cells, CellMode::kCascade);
+  for (std::size_t i = 0; i < cells; i += 3) modes[i] = CellMode::kPhysicsOnly;
+  for (FleetEngine* e : {&mixed_run, &mixed_step}) {
+    e->set_soc(start);
+    e->set_cell_modes(modes);
+  }
+  mixed_run.run(-2.5, 22.0, 45.0, 2);
+  for (int t = 0; t < 2; ++t) mixed_step.step(workload);
+  for (FleetEngine* e : {&mixed_run, &mixed_step}) {
+    e->mailbox().publish_workload(7, {-1.0, 30.0, 90.0});
+    e->mailbox().publish_sensors(9, {3.9, -1.5, 25.0});
+  }
+  mixed_run.run(-2.5, 22.0, 45.0, 2);
+  for (int t = 0; t < 2; ++t) mixed_step.step(workload);
+  EXPECT_EQ(mixed_run.ticks(), mixed_step.ticks());
+  for (std::size_t i = 0; i < cells; ++i) {
+    EXPECT_EQ(mixed_run.soc()[i], mixed_step.soc()[i]) << "cell " << i;
+  }
 }
 
 }  // namespace

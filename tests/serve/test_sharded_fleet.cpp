@@ -369,6 +369,29 @@ TEST(ShardedFleet, ValidatesArgumentsBeforeAnyWorkerSeesThem) {
   // Rejected inputs left no partial state: the fleet still works.
   util::Rng rng(3);
   fleet.init_from_sensors(testing::random_sensors(16, rng));
+
+  // Non-finite workload rows are rejected in the parent, like sensors.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> before(fleet.soc().begin(), fleet.soc().end());
+  nn::Matrix bad_workload = testing::random_workload(16, rng);
+  bad_workload(13, 0) = kNaN;
+  try {
+    fleet.step(bad_workload);
+    FAIL() << "expected the non-finite workload row to be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("cell 13"), std::string::npos);
+  }
+  bad_workload(13, 0) = -1.0;
+  bad_workload(2, 2) = kInf;
+  EXPECT_THROW(fleet.step(bad_workload), std::invalid_argument);
+  EXPECT_THROW(fleet.run(-2.0, kNaN, 60.0, 2), std::invalid_argument);
+  EXPECT_THROW(fleet.run(-2.0, 25.0, kInf, 2), std::invalid_argument);
+  EXPECT_EQ(fleet.ticks(), 0u);
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(fleet.soc()[i], before[i]) << "cell " << i;
+  }
+
   fleet.step(testing::random_workload(16, rng));
   EXPECT_EQ(fleet.ticks(), 1u);
 }

@@ -14,16 +14,18 @@ The thresholds file maps each benchmark JSON filename to metric bounds:
       ...
     }
 
-A bound may carry a "when" key naming a gate metric in the same JSON:
+A bound may carry a "when" key naming a gate metric in the same JSON, or
+a list of gate metrics that must ALL be truthy:
 
     "simd_avx2_speedup_f64_vs_scalar_b256":
-      {"min": 1.15, "when": "simd_supported_avx2"}
+      {"min": 1.15, "when": ["simd_supported_avx2", "build_portable"]}
 
-When the gate metric is absent or falsy (0), the bound is SKIPped — this
+When any gate metric is absent or falsy (0), the bound is SKIPped — this
 is how per-ISA speedup floors apply only on runners whose CPU carries the
-ISA, without weakening the floors where it does. A truthy gate makes the
-metric mandatory again, so a rotted benchmark that stops emitting a gated
-metric still fails on hosts that support it.
+ISA, and only on the build flavor they were set for, without weakening
+the floors where they apply. Truthy gates make the metric mandatory
+again, so a rotted benchmark that stops emitting a gated metric still
+fails on hosts that support it.
 
 Every listed file must exist and every listed metric must satisfy its
 bounds; a missing file, missing metric, or violated bound is a hard
@@ -60,9 +62,12 @@ def main() -> int:
             continue
         data = json.loads(path.read_text())
         for metric, bounds in metrics.items():
-            gate = bounds.get("when")
-            if gate is not None and not data.get(gate):
-                print(f"SKIP {filename}: {metric} (gate '{gate}' is off)")
+            gates = bounds.get("when", [])
+            if isinstance(gates, str):
+                gates = [gates]
+            off = [gate for gate in gates if not data.get(gate)]
+            if off:
+                print(f"SKIP {filename}: {metric} (gate '{off[0]}' is off)")
                 continue
             if metric not in data:
                 failures.append(f"{filename}: metric '{metric}' missing")

@@ -75,6 +75,24 @@ class BenchRegressionTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1, proc.stdout)
         self.assertIn("metric 'avx2_speedup' missing", proc.stdout)
 
+    def test_gate_list_needs_every_gate_truthy(self):
+        # The x86 SIMD floors hold on portable builds only: a list gate
+        # skips the bound as soon as any one gate is off.
+        thresholds = {"BENCH_x.json": {"avx2_speedup": {
+            "min": 2.0, "when": ["has_avx2", "build_portable"]}}}
+        native = self.run_check(
+            thresholds,
+            {"BENCH_x.json": {"has_avx2": 1, "build_portable": 0,
+                              "avx2_speedup": 0.5}})
+        self.assertEqual(native.returncode, 0, native.stdout)
+        self.assertIn("gate 'build_portable' is off", native.stdout)
+        portable = self.run_check(
+            thresholds,
+            {"BENCH_x.json": {"has_avx2": 1, "build_portable": 1,
+                              "avx2_speedup": 0.5}})
+        self.assertEqual(portable.returncode, 1, portable.stdout)
+        self.assertIn("FAIL", portable.stdout)
+
     # ------------------------------------- emitted-but-unlisted coverage
 
     def test_emitted_but_unlisted_bench_fails(self):
