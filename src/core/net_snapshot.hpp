@@ -13,6 +13,7 @@
 /// traces (far below the ~1-2% RMSE signal), at roughly twice the panel
 /// throughput.
 
+#include <cstddef>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -59,11 +60,19 @@ class TwoBranchSnapshotT {
   /// whose scalers are not fitted still converts, and each branch's
   /// forward throws std::logic_error until that branch's scaler is fitted
   /// (a Physics-Only model trains Branch 1 alone and serves its estimates).
+  /// A net that could never serve throws std::invalid_argument here, so no
+  /// engine ever publishes it: a branch whose dense layers do not chain
+  /// (MlpSnapshotT::from), a Branch 1 whose first dense layer does not take
+  /// 3 inputs or a Branch 2 whose does not take 4, or a fitted scaler with
+  /// a different feature count than its branch.
   explicit TwoBranchSnapshotT(const TwoBranchNet& net)
       : branch1_(nn::MlpSnapshotT<T>::from(net.branch1())),
         branch2_(nn::MlpSnapshotT<T>::from(net.branch2())),
         scaler1_(stats(net.scaler1())),
-        scaler2_(stats(net.scaler2())) {}
+        scaler2_(stats(net.scaler2())) {
+    require_inputs("Branch 1", branch1_, scaler1_, 3);
+    require_inputs("Branch 2", branch2_, scaler2_, 4);
+  }
 
   /// Branch-1 panel: sensors_columns is 3 x n ([V; I; T] rows, batch as
   /// the unit-stride axis) -> 1 x n estimated SoC(t). The returned
@@ -90,6 +99,25 @@ class TwoBranchSnapshotT {
   static nn::ScalerStatsT<T> stats(const nn::StandardScaler& scaler) {
     return scaler.fitted() ? nn::ScalerStatsT<T>::from(scaler)
                            : nn::ScalerStatsT<T>{};
+  }
+
+  /// Throws std::invalid_argument unless `branch` takes `features` inputs
+  /// and `scaler`, when fitted, standardizes exactly that many.
+  static void require_inputs(const char* name,
+                             const nn::MlpSnapshotT<T>& branch,
+                             const nn::ScalerStatsT<T>& scaler,
+                             std::size_t features) {
+    const std::string who = std::string("TwoBranchSnapshot: ") + name;
+    if (branch.in_features() != features) {
+      throw std::invalid_argument(
+          who + " takes " + std::to_string(branch.in_features()) +
+          " inputs, expected " + std::to_string(features));
+    }
+    if (scaler.num_features() != 0 && scaler.num_features() != features) {
+      throw std::invalid_argument(
+          who + " scaler has " + std::to_string(scaler.num_features()) +
+          " features, expected " + std::to_string(features));
+    }
   }
 
   nn::MlpSnapshotT<T> branch1_;

@@ -1,7 +1,9 @@
 #include "nn/panel.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "nn/dense.hpp"
 #include "nn/mlp.hpp"
@@ -116,6 +118,7 @@ template <typename T>
 MlpSnapshotT<T> MlpSnapshotT<T>::from(const Mlp& mlp) {
   MlpSnapshotT snapshot;
   snapshot.steps_.reserve(mlp.num_layers());
+  std::optional<std::size_t> width;  // output width of the last dense layer
   for (std::size_t i = 0; i < mlp.num_layers(); ++i) {
     const Layer& layer = mlp.layer(i);
     Step step;
@@ -123,6 +126,16 @@ MlpSnapshotT<T> MlpSnapshotT<T>::from(const Mlp& mlp) {
       step.is_dense = true;
       const Matrix& w = dense->weights();
       const Matrix& b = dense->bias();
+      // Activations keep the width, so consecutive dense layers must chain:
+      // a mis-chained net would otherwise throw from every forward instead
+      // of here, before anything serves it.
+      if (width.has_value() && w.rows() != *width) {
+        throw std::invalid_argument(
+            "MlpSnapshotT::from: layer " + std::to_string(i) + " takes " +
+            std::to_string(w.rows()) + " inputs, the previous dense layer "
+            "outputs " + std::to_string(*width));
+      }
+      width = w.cols();
       step.w.resize(w.rows(), w.cols());
       for (std::size_t e = 0; e < w.size(); ++e) {
         step.w.data()[e] = static_cast<T>(w.data()[e]);

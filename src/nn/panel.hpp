@@ -147,8 +147,17 @@ class MlpSnapshotT {
 
   /// Captures every layer. Throws std::invalid_argument on layer kinds the
   /// inference path does not know (the paper's branches are Dense +
-  /// Activation only).
+  /// Activation only) and on a dense layer whose input width differs from
+  /// the previous dense layer's output width.
   [[nodiscard]] static MlpSnapshotT from(const Mlp& mlp);
+
+  /// Input width of the first dense layer, or 0 for a snapshot without one.
+  [[nodiscard]] std::size_t in_features() const {
+    for (const Step& step : steps_) {
+      if (step.is_dense) return step.w.rows();
+    }
+    return 0;
+  }
 
   /// Feature-major inference: `input_columns` is (in_features x batch) and
   /// the returned reference (out_features x batch) points into `ws`, valid

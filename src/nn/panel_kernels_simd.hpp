@@ -16,6 +16,7 @@
 
 #include <cstddef>
 
+#include "nn/panel_columns.hpp"
 #include "nn/simd.hpp"
 #include "util/annotations.hpp"
 
@@ -68,6 +69,15 @@ SOCPINN_HOT void dense_columns_kernel_vec(const typename V::Scalar* __restrict a
   constexpr int kW = V::kWidth;
   constexpr int kOut = 4;
   constexpr int kVecs = V::kTileVecs;
+  // serve::EngineCore stages kColumnsTile-column tiles, so every full
+  // tile runs on the register-tile pass alone: a tile boundary never
+  // pushes real columns into the single-vector or scalar remainders. The
+  // tile is also a whole number of kColumnsMinBatch pads, the engines'
+  // other panel width.
+  static_assert(kColumnsTile % static_cast<std::size_t>(kVecs * kW) == 0,
+                "kColumnsTile must be a whole number of register tiles");
+  static_assert(kColumnsTile % kColumnsMinBatch == 0,
+                "kColumnsTile must be a multiple of kColumnsMinBatch");
   std::size_t jt = 0;
   for (; jt + kVecs * kW <= batch; jt += kVecs * kW) {
     std::size_t of = 0;

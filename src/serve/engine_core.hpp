@@ -4,15 +4,18 @@
 /// differ in what they advance (a fleet's cells per tick, a rollout's lanes
 /// per lockstep step) but not in how: both hold an RCU snapshot of the net,
 /// shard their batch contiguously across a ThreadPool with one workspace
-/// per shard, and run every Branch-1 / Branch-2 forward as a feature-major
-/// panel padded to nn::kColumnsMinBatch whose results are written back
-/// through one clamp policy. EngineCore owns exactly that shell, so each
-/// engine only says what it stages and where each SoC goes.
+/// per shard, and run every Branch-1 / Branch-2 forward as feature-major
+/// panels of at most nn::kColumnsTile columns (a tail below
+/// nn::kColumnsMinBatch zero-padded up to it) whose results are written
+/// back through one clamp policy. EngineCore owns exactly that shell, so
+/// each engine only says what it stages and where each SoC goes.
 ///
 /// Shard boundaries depend on nothing but (n, num_threads()), and every
-/// panel column is computed independently of its neighbours and of the
-/// pad, so results are bitwise identical for any thread count and any
-/// shard width. After one warm-up call per shape the core allocates
+/// panel column is computed independently of its neighbours, of the tile
+/// it lands in and of the pad, so results are bitwise identical for any
+/// thread count and any shard width. Tiling keeps a shard's activations
+/// L1-resident and its workspace at tile size whatever the shard width:
+/// after one call of at least nn::kColumnsTile columns the core allocates
 /// nothing.
 
 #include <algorithm>
@@ -23,8 +26,8 @@
 
 #include "core/net_snapshot.hpp"
 #include "core/two_branch_net.hpp"
-#include "nn/mlp.hpp"
 #include "nn/panel.hpp"
+#include "nn/panel_columns.hpp"
 #include "serve/mailbox.hpp"
 #include "serve/thread_pool.hpp"
 #include "util/annotations.hpp"
@@ -126,51 +129,58 @@ class EngineCore {
 
   /// One batched Branch-1 estimate of n columns: sensors(i) returns column
   /// i's SensorReport, and store(i, soc) receives its clamped estimate.
+  /// Columns run in nn::kColumnsTile-wide tiles, each staged, forwarded
+  /// and written back before the next is staged.
   template <typename T, typename Sensors, typename Store>
   SOCPINN_HOT void estimate(const core::TwoBranchSnapshotT<T>& model,
                             core::InferenceWorkspaceT<T>& ws, std::size_t n,
                             Sensors&& sensors, Store&& store) const {
-    if (n == 0) return;
-    // SOCPINN_HOT_ALLOW(resize): warm capacity once the widest batch of
-    // this shard has run (test_alloc_free.cpp probes it)
-    ws.sensors.resize(3, std::max(n, nn::kColumnsMinBatch));
-    for (std::size_t i = 0; i < n; ++i) {
-      const SensorReport r = sensors(i);
-      ws.sensors(0, i) = static_cast<T>(r.voltage);
-      ws.sensors(1, i) = static_cast<T>(r.current);
-      ws.sensors(2, i) = static_cast<T>(r.temp_c);
-    }
-    nn::zero_pad_columns(ws.sensors, n);
-    const nn::MatrixT<T>& est = model.estimate_columns(ws.sensors, ws);
-    for (std::size_t i = 0; i < n; ++i) {
-      store(i, clamp_soc(static_cast<double>(est(0, i))));
+    for (std::size_t begin = 0; begin < n; begin += nn::kColumnsTile) {
+      const std::size_t w = std::min(nn::kColumnsTile, n - begin);
+      // SOCPINN_HOT_ALLOW(resize): warm capacity after one call of at least
+      // kColumnsTile columns (test_alloc_free.cpp probes it)
+      ws.sensors.resize(3, std::max(w, nn::kColumnsMinBatch));
+      for (std::size_t i = 0; i < w; ++i) {
+        const SensorReport r = sensors(begin + i);
+        ws.sensors(0, i) = static_cast<T>(r.voltage);
+        ws.sensors(1, i) = static_cast<T>(r.current);
+        ws.sensors(2, i) = static_cast<T>(r.temp_c);
+      }
+      nn::zero_pad_columns(ws.sensors, w);
+      const nn::MatrixT<T>& est = model.estimate_columns(ws.sensors, ws);
+      for (std::size_t i = 0; i < w; ++i) {
+        store(begin + i, clamp_soc(static_cast<double>(est(0, i))));
+      }
     }
   }
 
   /// One batched Branch-2 prediction of n columns: row(i) returns column
   /// i's Branch2Row, and store(i, soc) receives its clamped prediction.
-  /// Every row is staged before the forward, so a store may overwrite the
-  /// state a row was read from.
+  /// Columns run in nn::kColumnsTile-wide tiles: each tile's rows are
+  /// staged before that tile's forward, so store(i) may overwrite only
+  /// state that row(i) reads — never a later column's.
   template <typename T, typename Rows, typename Store>
   SOCPINN_HOT void predict(const core::TwoBranchSnapshotT<T>& model,
                            core::InferenceWorkspaceT<T>& ws, std::size_t n,
                            Rows&& row, Store&& store) const {
-    if (n == 0) return;
     nn::MatrixT<T>& input = ws.branch2_input;
-    // SOCPINN_HOT_ALLOW(resize): warm capacity once the widest batch of
-    // this shard has run (test_alloc_free.cpp probes it)
-    input.resize(4, std::max(n, nn::kColumnsMinBatch));
-    for (std::size_t i = 0; i < n; ++i) {
-      const Branch2Row r = row(i);
-      input(0, i) = static_cast<T>(r.soc);
-      input(1, i) = static_cast<T>(r.avg_current);
-      input(2, i) = static_cast<T>(r.avg_temp_c);
-      input(3, i) = static_cast<T>(r.horizon_s);
-    }
-    nn::zero_pad_columns(input, n);
-    const nn::MatrixT<T>& pred = model.predict_columns(input, ws);
-    for (std::size_t i = 0; i < n; ++i) {
-      store(i, clamp_soc(static_cast<double>(pred(0, i))));
+    for (std::size_t begin = 0; begin < n; begin += nn::kColumnsTile) {
+      const std::size_t w = std::min(nn::kColumnsTile, n - begin);
+      // SOCPINN_HOT_ALLOW(resize): warm capacity after one call of at least
+      // kColumnsTile columns (test_alloc_free.cpp probes it)
+      input.resize(4, std::max(w, nn::kColumnsMinBatch));
+      for (std::size_t i = 0; i < w; ++i) {
+        const Branch2Row r = row(begin + i);
+        input(0, i) = static_cast<T>(r.soc);
+        input(1, i) = static_cast<T>(r.avg_current);
+        input(2, i) = static_cast<T>(r.avg_temp_c);
+        input(3, i) = static_cast<T>(r.horizon_s);
+      }
+      nn::zero_pad_columns(input, w);
+      const nn::MatrixT<T>& pred = model.predict_columns(input, ws);
+      for (std::size_t i = 0; i < w; ++i) {
+        store(begin + i, clamp_soc(static_cast<double>(pred(0, i))));
+      }
     }
   }
 

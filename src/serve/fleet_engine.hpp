@@ -86,12 +86,13 @@ struct FleetConfig {
   bool clamp_soc = true;
   /// Scalar type of the batched forwards. Both precisions serve a
   /// snapshot of the net (converted once per snapshot, at construction or
-  /// swap_model) through feature-major panels at every shard size, padded
-  /// to nn::kColumnsMinBatch columns on thin shards. kFloat64 (default) is
-  /// bitwise identical to the net's own forwards. kFloat32 has ~2x SIMD
-  /// width per tick and SoC within ~1e-5 of f64 per tick; it requires a
-  /// trained net (fitted scalers), and constructing with an untrained net
-  /// throws std::invalid_argument naming this knob.
+  /// swap_model) through feature-major panels of at most nn::kColumnsTile
+  /// columns at every shard size, a tail below nn::kColumnsMinBatch
+  /// columns zero-padded up to it. kFloat64 (default) is bitwise
+  /// identical to the net's own forwards. kFloat32 has ~2x SIMD width per
+  /// tick and SoC within ~1e-5 of f64 per tick; it requires a trained net
+  /// (fitted scalers), and constructing with an untrained net throws
+  /// std::invalid_argument naming this knob.
   core::Precision precision = core::Precision::kFloat64;
   /// External mailbox slot storage, or nullptr (default) to let the
   /// engine allocate its own. The multi-process transport points this at

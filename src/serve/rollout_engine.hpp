@@ -89,15 +89,16 @@ struct RolloutConfig {
   bool clamp_soc = true;
   /// Scalar type of the per-step NN forwards. Both precisions serve a
   /// snapshot of the net (weights + scaler stats converted once, at
-  /// construction or swap_model) through feature-major panels padded to
-  /// nn::kColumnsMinBatch columns, so a thin tail or a batch-of-1 run
-  /// computes a 32-column panel per step. kFloat64 (default) is bitwise
-  /// identical to the net's own forwards. kFloat32 has ~2x SIMD width on
-  /// the per-step panels and SoC within ~1e-5 of f64 on the paper's
-  /// traces (tests pin 1e-4); it requires a trained net (fitted scalers),
-  /// and constructing with an untrained net throws std::invalid_argument
-  /// naming this knob. Physics-only lanes always advance in f64 (Eq. 1 is
-  /// three flops; there is nothing to vectorize).
+  /// construction or swap_model) through feature-major panels of at most
+  /// nn::kColumnsTile columns, a tail below nn::kColumnsMinBatch columns
+  /// zero-padded up to it, so a thin tail or a batch-of-1 run computes a
+  /// 32-column panel per step. kFloat64 (default) is bitwise identical to
+  /// the net's own forwards. kFloat32 has ~2x SIMD width on the per-step
+  /// panels and SoC within ~1e-5 of f64 on the paper's traces (tests pin
+  /// 1e-4); it requires a trained net (fitted scalers), and constructing
+  /// with an untrained net throws std::invalid_argument naming this knob.
+  /// Physics-only lanes always advance in f64 (Eq. 1 is three flops;
+  /// there is nothing to vectorize).
   core::Precision precision = core::Precision::kFloat64;
 };
 

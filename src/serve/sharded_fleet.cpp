@@ -34,24 +34,29 @@ void nap() {
 /// The transport ships the model as core::save_model text, which needs a
 /// trained net (fitted scalers) regardless of precision — checked here so
 /// the error names the actual requirement instead of save_model's generic
-/// one.
-std::string serialize_model(const core::TwoBranchNet& net, const char* who) {
+/// one. The net is then snapshotted once at the fleet's precision, so a
+/// net no engine could serve (core::TwoBranchSnapshotT's checks) throws
+/// here, in the parent, and no worker ever adopts it.
+std::string serialize_model(const core::TwoBranchNet& net,
+                            core::Precision precision, const char* who) {
   if (!net.scaler1().fitted() || !net.scaler2().fitted()) {
     throw std::invalid_argument(
         std::string(who) +
         ": the multi-process transport serializes the model, which requires "
         "a trained net (fitted scalers)");
   }
+  (void)core::TwoBranchSnapshot(net, precision);
   std::ostringstream out;
   core::save_model(out, net);
   return out.str();
 }
 
-std::string checked_blob(const core::TwoBranchNet& net, std::size_t num_cells) {
+std::string checked_blob(const core::TwoBranchNet& net, std::size_t num_cells,
+                         core::Precision precision) {
   if (num_cells == 0) {
     throw std::invalid_argument("ShardedFleet: empty fleet");
   }
-  return serialize_model(net, "ShardedFleet");
+  return serialize_model(net, precision, "ShardedFleet");
 }
 
 ModelRegion make_model_region(const std::string& blob) {
@@ -70,7 +75,9 @@ ModelRegion make_model_region(const std::string& blob) {
 
 ShardedFleet::ShardedFleet(const core::TwoBranchNet& net,
                            std::size_t num_cells, ShardedFleetConfig config)
-    : model_region_(make_model_region(checked_blob(net, num_cells))),
+    : precision_(config.precision),
+      model_region_(
+          make_model_region(checked_blob(net, num_cells, config.precision))),
       shards_(partition_fleet(num_cells, config.workers)),
       soc_(num_cells, 0.0) {
   workers_.reserve(shards_.size());
@@ -266,7 +273,8 @@ void ShardedFleet::swap_model(const core::TwoBranchNet& net) {
   // SOCPINN_SEQLOCK_WRITER(ShardedFleet::swap_model): the parent is the
   // model region's single declared writer; workers only read (the line
   // above states the external-serialization contract).
-  model_region_.publish(serialize_model(net, "ShardedFleet::swap_model"));
+  model_region_.publish(
+      serialize_model(net, precision_, "ShardedFleet::swap_model"));
 }
 
 void ShardedFleet::publish_sensors(std::size_t cell,

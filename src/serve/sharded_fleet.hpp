@@ -116,7 +116,9 @@ class ShardedFleet {
 
   /// Serializes `net` once and publishes it to every worker; each adopts
   /// at its next command. Requires a trained net (the transport
-  /// serializes; same rule as construction). Safe from any thread.
+  /// serializes; same rule as construction). A net no worker could serve
+  /// (core::TwoBranchSnapshotT's checks) throws std::invalid_argument
+  /// here and is never published. Safe from any thread.
   void swap_model(const core::TwoBranchNet& net);
 
   /// Wait-free cross-process ingress (the owning worker's engine drains
@@ -196,6 +198,9 @@ class ShardedFleet {
   /// contract fails the clang -Wthread-safety build.
   util::ThreadRole cmd_serial_;
 
+  /// ShardedFleetConfig::precision: every published net is snapshotted at
+  /// it in the parent first, so a net no worker could serve never ships.
+  core::Precision precision_;
   ModelRegion model_region_;
   std::vector<Shard> shards_;
   std::vector<Worker> workers_;

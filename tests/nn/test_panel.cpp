@@ -275,6 +275,17 @@ TEST(MlpSnapshot, RejectsUnsupportedLayers) {
   Mlp mlp = Mlp::make({3, 8, 1}, rng);
   mlp.add(std::make_unique<PassThroughLayer>());
   EXPECT_THROW((void)MlpSnapshotT<float>::from(mlp), std::invalid_argument);
+
+  // Known layer kinds that do not chain: Dense(4->16), ReLU, Dense(20->1)
+  // is rejected when the snapshot is built, not at its first forward.
+  Mlp mischained;
+  mischained.add(std::make_unique<Dense>(4, 16, rng));
+  mischained.add(std::make_unique<Activation>(ActivationKind::kRelu));
+  mischained.add(std::make_unique<Dense>(20, 1, rng));
+  EXPECT_THROW((void)MlpSnapshotT<double>::from(mischained),
+               std::invalid_argument);
+  EXPECT_THROW((void)MlpSnapshotT<float>::from(mischained),
+               std::invalid_argument);
 }
 
 TEST(MlpSnapshot, ValidatesInputWidth) {

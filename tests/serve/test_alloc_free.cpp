@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <numeric>
 #include <vector>
 
 #include "core/two_branch_net.hpp"
@@ -153,6 +154,38 @@ TEST(AllocFree, FleetTickSteadyStateAllocatesNothing) {
     for (int tick = 0; tick < 25; ++tick) engine.step(workload);
     EXPECT_EQ(allocs(), before) << "fleet tick allocated in steady state";
     EXPECT_EQ(engine.ticks(), 26u);
+  }
+}
+
+TEST(AllocFree, WorkspacesStopGrowingAtTheColumnTile) {
+  // Every per-shard panel is at most nn::kColumnsTile columns wide, so a
+  // workspace warmed by a batch of at least one tile never grows again,
+  // whatever width comes next: a full-width synchronous re-seed runs all
+  // 1000 cells on shard 0's workspace, warmed only by 500-cell shards.
+  constexpr std::size_t kCells = 1000;
+  static_assert(kCells / 2 >= nn::kColumnsTile);
+  const core::TwoBranchNet net = testing::make_fitted_net(21);
+  std::vector<std::size_t> all(kCells);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  for (const core::Precision precision :
+       {core::Precision::kFloat64, core::Precision::kFloat32}) {
+    SCOPED_TRACE(precision == core::Precision::kFloat32 ? "f32" : "f64");
+    util::Rng rng(17);
+    nn::Matrix sensors(kCells, 3);
+    nn::Matrix workload(kCells, 3);
+    for (auto& v : sensors.data()) v = rng.uniform(-1.0, 1.0);
+    for (auto& v : workload.data()) v = rng.uniform(-1.0, 1.0);
+
+    FleetConfig config;
+    config.threads = 2;
+    config.precision = precision;
+    FleetEngine engine(net, kCells, config);
+    engine.init_from_sensors(sensors);
+    engine.step(workload);
+
+    const std::size_t before = allocs();
+    engine.reseed_from_sensors(all, sensors);
+    EXPECT_EQ(allocs(), before) << "a wider batch grew a warm workspace";
   }
 }
 

@@ -73,22 +73,36 @@ TEST(FleetEngine, MatchesScalarCascadePerCell) {
   const nn::Matrix sensors = random_sensors(cells, rng);
   const nn::Matrix workload = random_workload(cells, rng);
 
-  FleetConfig config;
-  config.threads = 3;
-  FleetEngine engine(net, cells, config);
-  engine.init_from_sensors(sensors);
-  engine.step(workload);
-  engine.step(workload);
+  // At 3 threads every shard fits one column tile; at 1 thread the shard
+  // is a full 64-column tile plus a 33-cell tail. This net clamps every
+  // cell's Branch-2 output to 0 by the second tick, so only the unclamped
+  // pass tells one column's result from another's.
+  for (const bool clamp : {true, false}) {
+    for (const std::size_t threads : {std::size_t{3}, std::size_t{1}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << threads << " threads, clamp " << clamp);
+      FleetConfig config;
+      config.threads = threads;
+      config.clamp_soc = clamp;
+      FleetEngine engine(net, cells, config);
+      engine.init_from_sensors(sensors);
+      engine.step(workload);
+      engine.step(workload);
 
-  core::InferenceWorkspace ws;
-  for (std::size_t i = 0; i < cells; ++i) {
-    double soc = util::clamp01(
-        net.estimate_soc(sensors(i, 0), sensors(i, 1), sensors(i, 2), ws));
-    for (int tick = 0; tick < 2; ++tick) {
-      soc = util::clamp01(net.predict_soc(soc, workload(i, 0), workload(i, 1),
-                                          workload(i, 2), ws));
+      const auto stored = [&](double raw) {
+        return clamp ? util::clamp01(raw) : raw;
+      };
+      core::InferenceWorkspace ws;
+      for (std::size_t i = 0; i < cells; ++i) {
+        double soc = stored(net.estimate_soc(sensors(i, 0), sensors(i, 1),
+                                             sensors(i, 2), ws));
+        for (int tick = 0; tick < 2; ++tick) {
+          soc = stored(net.predict_soc(soc, workload(i, 0), workload(i, 1),
+                                       workload(i, 2), ws));
+        }
+        EXPECT_DOUBLE_EQ(engine.soc()[i], soc) << "cell " << i;
+      }
     }
-    EXPECT_DOUBLE_EQ(engine.soc()[i], soc) << "cell " << i;
   }
 }
 

@@ -514,6 +514,29 @@ TEST(LiveServing, SwapModelValidates) {
   RolloutEngine rollout(net, {.threads = 1});
   EXPECT_THROW(rollout.swap_model(nullptr), std::invalid_argument);
   EXPECT_THROW(rollout.swap_model(f32_snapshot), std::invalid_argument);
+
+  // A net whose Branch 2 does not chain is rejected when its snapshot is
+  // built, before anything is published or any pending message drained:
+  // the next tick serves the old model exactly like a fleet that never
+  // saw the swap.
+  const core::TwoBranchNet mischained = testing::make_mischained_net(9);
+  FleetEngine untouched(net, 4, {.threads = 1});
+  util::Rng rng(47);
+  const nn::Matrix sensors = random_sensors(4, rng);
+  const nn::Matrix workload = random_workload(4, rng);
+  for (FleetEngine* f : {&fleet, &untouched}) {
+    f->init_from_sensors(sensors);
+    f->mailbox().publish_sensors(2, {3.9, -1.5, 25.0});
+    f->mailbox().publish_workload(1, {-2.0, 25.0, 60.0});
+  }
+  EXPECT_THROW(fleet.swap_model(mischained), std::invalid_argument);
+  EXPECT_THROW(rollout.swap_model(mischained), std::invalid_argument);
+  fleet.step(workload);
+  untouched.step(workload);
+  EXPECT_EQ(fleet.ticks(), 1u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(fleet.soc()[i], untouched.soc()[i]) << "cell " << i;
+  }
 }
 
 TEST(LiveServing, ParamDrainBitwiseEqualsSynchronousSequence) {

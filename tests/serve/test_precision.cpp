@@ -97,6 +97,29 @@ TEST(SnapshotParity, RequiresFittedScalers) {
                                           core::Precision::kFloat64));
 }
 
+TEST(SnapshotParity, RejectsBranchesThatCannotTakeTheirInputs) {
+  // Structural checks run when the snapshot is built, at both precisions:
+  // each branch's first dense layer must take its 3 / 4 raw inputs and a
+  // fitted scaler must standardize that many features. (An unfitted
+  // scaler keeps the lazy throw at first forward, pinned above.)
+  util::Rng rng(7);
+  core::TwoBranchNet wide_branch1 = testing::make_fitted_net(5);
+  wide_branch1.branch1() = nn::Mlp::make({4, 8, 1}, rng);
+  core::TwoBranchNet narrow_branch2 = testing::make_fitted_net(5);
+  narrow_branch2.branch2() = nn::Mlp::make({3, 8, 1}, rng);
+  core::TwoBranchNet short_scaler2 = testing::make_fitted_net(5);
+  short_scaler2.scaler2() =
+      nn::StandardScaler::from_moments({0.5, -1.5, 25.0}, {0.25, 2.0, 8.0});
+  for (const core::Precision precision :
+       {core::Precision::kFloat64, core::Precision::kFloat32}) {
+    for (const core::TwoBranchNet* net :
+         {&wide_branch1, &narrow_branch2, &short_scaler2}) {
+      EXPECT_THROW(core::TwoBranchSnapshot(*net, precision),
+                   std::invalid_argument);
+    }
+  }
+}
+
 TEST(SnapshotParity, ServingAnUnfittedF64NetThrowsLogicError) {
   // The lazy half of the contract above: the f64 snapshot of an unfitted
   // net has no scaler moments, so the first serve call throws like the

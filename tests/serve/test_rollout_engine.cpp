@@ -108,12 +108,23 @@ TEST(RolloutEngine, BatchedLanesMatchScalarReferenceLaneByLane) {
   const std::vector<data::WorkloadSchedule> schedules =
       data::build_workload_schedules(fleet, 30.0);
 
-  RolloutEngine engine(net, {.threads = 3});
-  const std::vector<core::Rollout> rollouts = engine.run(schedules);
-  ASSERT_EQ(rollouts.size(), schedules.size());
-  for (std::size_t i = 0; i < schedules.size(); ++i) {
-    const core::Rollout reference = scalar_reference(net, schedules[i], true);
-    expect_bitwise_equal(rollouts[i], reference, "lane");
+  // At 3 threads every shard fits one column tile; at 1 thread the shard
+  // is a full 64-lane tile plus a 3-lane tail padded to 32 columns. This
+  // net clamps almost every prediction to 0 or 1, so only the unclamped
+  // pass tells one lane's result from another's.
+  for (const bool clamp : {true, false}) {
+    for (const std::size_t threads : {std::size_t{3}, std::size_t{1}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << threads << " threads, clamp " << clamp);
+      RolloutEngine engine(net, {.threads = threads, .clamp_soc = clamp});
+      const std::vector<core::Rollout> rollouts = engine.run(schedules);
+      ASSERT_EQ(rollouts.size(), schedules.size());
+      for (std::size_t i = 0; i < schedules.size(); ++i) {
+        const core::Rollout reference =
+            scalar_reference(net, schedules[i], clamp);
+        expect_bitwise_equal(rollouts[i], reference, "lane");
+      }
+    }
   }
 }
 

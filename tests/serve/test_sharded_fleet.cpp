@@ -394,11 +394,25 @@ TEST(ShardedFleet, ValidatesArgumentsBeforeAnyWorkerSeesThem) {
 
   fleet.step(testing::random_workload(16, rng));
   EXPECT_EQ(fleet.ticks(), 1u);
+
+  // A net no worker could serve is rejected in the parent and never
+  // published: every worker keeps serving version 1.
+  EXPECT_THROW(fleet.swap_model(testing::make_mischained_net(21)),
+               std::invalid_argument);
+  EXPECT_EQ(fleet.model_version(), 1u);
+  fleet.step(testing::random_workload(16, rng));
+  EXPECT_EQ(fleet.ticks(), 2u);
+  for (std::size_t w = 0; w < fleet.num_workers(); ++w) {
+    EXPECT_EQ(fleet.worker_model_version(w), 1u) << "worker " << w;
+  }
 }
 
 TEST(ShardedFleet, RequiresATrainedNetAndANonDegeneratePartition) {
   const core::TwoBranchNet untrained;  // transport must serialize the model
   EXPECT_THROW(ShardedFleet(untrained, 8, {}), std::invalid_argument);
+  // Snapshotted in the parent before anything forks.
+  EXPECT_THROW(ShardedFleet(testing::make_mischained_net(21), 8, {}),
+               std::invalid_argument);
 
   const core::TwoBranchNet net = testing::make_fitted_net(21);
   EXPECT_THROW(ShardedFleet(net, 0, {}), std::invalid_argument);

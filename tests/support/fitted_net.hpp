@@ -5,6 +5,8 @@
 /// synthetic discharge-trace factory for rollout/fleet tests.
 
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "core/two_branch_net.hpp"
 #include "data/trace.hpp"
@@ -19,6 +21,19 @@ inline core::TwoBranchNet make_fitted_net(std::uint64_t seed) {
                                                    {0.3, 2.0, 8.0});
   net.scaler2() = nn::StandardScaler::from_moments(
       {0.5, -1.5, 25.0, 45.0}, {0.25, 2.0, 8.0, 18.0});
+  return net;
+}
+
+/// A fitted net no engine can serve: its Branch 2 is Dense(4->16), ReLU,
+/// Dense(20->1), so the second dense layer does not chain onto the first.
+inline core::TwoBranchNet make_mischained_net(std::uint64_t seed) {
+  core::TwoBranchNet net = make_fitted_net(seed);
+  util::Rng rng(seed);
+  nn::Mlp branch2;
+  branch2.add(std::make_unique<nn::Dense>(4, 16, rng));
+  branch2.add(std::make_unique<nn::Activation>(nn::ActivationKind::kRelu));
+  branch2.add(std::make_unique<nn::Dense>(20, 1, rng));
+  net.branch2() = std::move(branch2);
   return net;
 }
 
