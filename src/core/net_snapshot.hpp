@@ -35,19 +35,17 @@ enum class Precision {
   kFloat32,
 };
 
-/// Caller-owned scratch for allocation-free snapshot inference — the
-/// templated twin of InferenceWorkspace (per-branch panel buffers, the
-/// standardize staging, and the raw input panels callers stage into).
+/// Caller-owned scratch for allocation-free snapshot inference: one set of
+/// layer panels, the standardize output and the raw input panel, shared by
+/// both branches. A forward's result points into `layers`, so a caller
+/// reads it back before staging the next forward of either branch.
 template <typename T>
 struct InferenceWorkspaceT {
-  nn::ForwardWorkspaceT<T> branch1;
-  nn::ForwardWorkspaceT<T> branch2;
+  nn::ForwardWorkspaceT<T> layers;
   nn::MatrixT<T> scaled;  ///< standardized inputs of the current forward
-  /// Raw feature-major inputs: 3 x n sensors for Branch 1 and 4 x n rows
-  /// for Branch 2, kept apart so a Branch-1 re-seed never clobbers staged
-  /// Branch-2 rows.
-  nn::MatrixT<T> sensors;
-  nn::MatrixT<T> branch2_input;
+  /// Raw feature-major input: 3 x n sensors for Branch 1, 4 x n rows for
+  /// Branch 2.
+  nn::MatrixT<T> input;
 };
 
 /// Immutable T-precision twin of a trained TwoBranchNet. Feature-major
@@ -76,11 +74,11 @@ class TwoBranchSnapshotT {
 
   /// Branch-1 panel: sensors_columns is 3 x n ([V; I; T] rows, batch as
   /// the unit-stride axis) -> 1 x n estimated SoC(t). The returned
-  /// reference points into `ws` until its next Branch-1 use.
+  /// reference points into `ws` until its next forward of either branch.
   const nn::MatrixT<T>& estimate_columns(const nn::MatrixT<T>& sensors_columns,
                                          InferenceWorkspaceT<T>& ws) const {
     scaler1_.transform_columns_into(sensors_columns, ws.scaled);
-    return branch1_.infer_columns(ws.scaled, ws.branch1);
+    return branch1_.infer_columns(ws.scaled, ws.layers);
   }
 
   /// Branch-2 panel: branch2_columns is 4 x n ([SoC; avg I; avg T; N]) ->
@@ -88,7 +86,7 @@ class TwoBranchSnapshotT {
   const nn::MatrixT<T>& predict_columns(const nn::MatrixT<T>& branch2_columns,
                                         InferenceWorkspaceT<T>& ws) const {
     scaler2_.transform_columns_into(branch2_columns, ws.scaled);
-    return branch2_.infer_columns(ws.scaled, ws.branch2);
+    return branch2_.infer_columns(ws.scaled, ws.layers);
   }
 
   [[nodiscard]] const nn::ScalerStatsT<T>& scaler1() const { return scaler1_; }

@@ -135,24 +135,20 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 
 namespace {
 
-/// Shared kernel of matmul_into / matmul_bias_into: each output row starts
-/// from `init` (zeros or a broadcast bias row) and accumulates rank-1
-/// updates in ascending-k order. Raw restrict pointers let the j loop
-/// vectorize; `noclone` keeps GCC from constant-propagating the tiny layer
-/// widths into specialized clones (whose interleaving vectorization is
-/// dramatically slower for these shapes than the plain saxpy form).
+/// Kernel of matmul_bias_into: each output row starts from the bias row
+/// and accumulates rank-1 updates in ascending-k order. Raw
+/// restrict pointers let the j loop vectorize; `noclone` keeps GCC from
+/// constant-propagating the tiny layer widths into specialized clones
+/// (whose interleaving vectorization is dramatically slower for these
+/// shapes than the plain saxpy form).
 __attribute__((noinline, noclone)) void matmul_rows(
     const double* __restrict a, const double* __restrict b,
-    const double* __restrict init, double* __restrict out, std::size_t rows,
+    const double* __restrict bias, double* __restrict out, std::size_t rows,
     std::size_t inner, std::size_t cols) {
   for (std::size_t i = 0; i < rows; ++i) {
     const double* __restrict a_row = a + i * inner;
     double* __restrict out_row = out + i * cols;
-    if (init == nullptr) {
-      for (std::size_t j = 0; j < cols; ++j) out_row[j] = 0.0;
-    } else {
-      for (std::size_t j = 0; j < cols; ++j) out_row[j] = init[j];
-    }
+    for (std::size_t j = 0; j < cols; ++j) out_row[j] = bias[j];
     for (std::size_t k = 0; k < inner; ++k) {
       const double aik = a_row[k];
       const double* __restrict b_row = b + k * cols;
@@ -163,24 +159,7 @@ __attribute__((noinline, noclone)) void matmul_rows(
   }
 }
 
-void matmul_rows(const Matrix& a, const Matrix& b, const double* init,
-                 Matrix& out) {
-  matmul_rows(a.data().data(), b.data().data(), init, out.data().data(),
-              a.rows(), a.cols(), b.cols());
-}
-
 }  // namespace
-
-void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
-  if (a.cols() != b.rows()) {
-    throw std::invalid_argument("matmul_into: inner dimension mismatch");
-  }
-  if (&out == &a || &out == &b) {
-    throw std::invalid_argument("matmul_into: out must not alias an input");
-  }
-  out.resize(a.rows(), b.cols());
-  matmul_rows(a, b, nullptr, out);
-}
 
 void matmul_bias_into(const Matrix& a, const Matrix& b, const Matrix& bias_row,
                       Matrix& out) {
@@ -194,7 +173,8 @@ void matmul_bias_into(const Matrix& a, const Matrix& b, const Matrix& bias_row,
     throw std::invalid_argument("matmul_bias_into: out must not alias input");
   }
   out.resize(a.rows(), b.cols());
-  matmul_rows(a, b, bias_row.data().data(), out);
+  matmul_rows(a.data().data(), b.data().data(), bias_row.data().data(),
+              out.data().data(), a.rows(), a.cols(), b.cols());
 }
 
 void copy_into(const Matrix& src, Matrix& dst) {

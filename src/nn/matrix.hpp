@@ -99,13 +99,10 @@ class Matrix {
 /// C = A * B. Throws on inner-dimension mismatch.
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// out = A * B, written in place. `out` is resized (capacity reused) so the
-/// steady state performs no heap allocation. `out` must not alias a or b.
-void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
-
 /// out = A * B + bias (1 x cols row broadcast to every output row), fused so
-/// the bias pass costs no extra sweep over `out`. Same aliasing and
-/// allocation rules as matmul_into.
+/// the bias pass costs no extra sweep over `out`. `out` is resized
+/// (capacity reused) so the steady state performs no heap allocation, and
+/// must not alias an input.
 void matmul_bias_into(const Matrix& a, const Matrix& b,
                       const Matrix& bias_row, Matrix& out);
 
@@ -124,7 +121,7 @@ void transpose_into(const Matrix& src, Matrix& dst);
 /// throughput independent of the (tiny) layer widths. Per output element
 /// the accumulation order is bias first, then k ascending — identical to
 /// matmul_bias_into — so both layouts agree bitwise. Same aliasing and
-/// allocation rules as matmul_into.
+/// allocation rules as matmul_bias_into.
 void dense_forward_columns(const Matrix& activations, const Matrix& weights,
                            const Matrix& bias_row, Matrix& out);
 

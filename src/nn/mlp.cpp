@@ -91,18 +91,6 @@ const Matrix& Mlp::infer_columns(const Matrix& input_columns,
   return *x;
 }
 
-double Mlp::infer_scalar(std::span<const double> features,
-                         ForwardWorkspace& ws) const {
-  Matrix& staged = ws.staging();
-  staged.resize(1, features.size());
-  for (std::size_t c = 0; c < features.size(); ++c) staged(0, c) = features[c];
-  const Matrix& out = infer(staged, ws);
-  if (out.cols() == 0 || out.rows() == 0) {
-    throw std::logic_error("Mlp::infer_scalar: empty output");
-  }
-  return out(0, 0);
-}
-
 double Mlp::predict_scalar(std::span<const double> features) {
   const Matrix out = forward(Matrix::row_vector(features), /*train=*/false);
   if (out.cols() == 0 || out.rows() == 0) {

@@ -58,10 +58,6 @@ class Mlp {
   const Matrix& infer_columns(const Matrix& input_columns,
                               ForwardWorkspace& ws) const;
 
-  /// Batch-of-1 wrapper over infer(); returns the scalar first output.
-  [[nodiscard]] double infer_scalar(std::span<const double> features,
-                                    ForwardWorkspace& ws) const;
-
   /// Convenience single-sample forward; returns the scalar first output.
   [[nodiscard]] double predict_scalar(std::span<const double> features);
 

@@ -177,6 +177,4 @@ class MlpSnapshotT {
   std::vector<Step> steps_;
 };
 
-using MatrixF32 = MatrixT<float>;
-
 }  // namespace socpinn::nn

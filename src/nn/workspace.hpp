@@ -15,7 +15,7 @@
 namespace socpinn::nn {
 
 /// Scratch buffers for one Mlp inference pass: one activation matrix per
-/// layer plus a staging matrix for single-sample calls.
+/// layer.
 class ForwardWorkspace {
  public:
   /// Grows the buffer list to at least n entries. Call before holding
@@ -31,14 +31,10 @@ class ForwardWorkspace {
     return buffers_[i];
   }
 
-  /// Staging matrix for wrapping raw features as a batch of one.
-  [[nodiscard]] Matrix& staging() { return staging_; }
-
   [[nodiscard]] std::size_t num_buffers() const { return buffers_.size(); }
 
  private:
   std::vector<Matrix> buffers_;
-  Matrix staging_;
 };
 
 }  // namespace socpinn::nn

@@ -15,8 +15,8 @@
 /// it lands in and of the pad, so results are bitwise identical for any
 /// thread count and any shard width. Tiling keeps a shard's activations
 /// L1-resident and its workspace at tile size whatever the shard width:
-/// after one call of at least nn::kColumnsTile columns the core allocates
-/// nothing.
+/// after one estimate and one predict of at least nn::kColumnsTile columns
+/// the core allocates nothing.
 
 #include <algorithm>
 #include <cstddef>
@@ -130,24 +130,26 @@ class EngineCore {
   /// One batched Branch-1 estimate of n columns: sensors(i) returns column
   /// i's SensorReport, and store(i, soc) receives its clamped estimate.
   /// Columns run in nn::kColumnsTile-wide tiles, each staged, forwarded
-  /// and written back before the next is staged.
+  /// and written back before the next is staged. estimate and predict
+  /// share the workspace's one input panel and one set of layer panels,
+  /// which is safe because neither returns before its last write-back.
   template <typename T, typename Sensors, typename Store>
   SOCPINN_HOT void estimate(const core::TwoBranchSnapshotT<T>& model,
                             core::InferenceWorkspaceT<T>& ws, std::size_t n,
                             Sensors&& sensors, Store&& store) const {
     for (std::size_t begin = 0; begin < n; begin += nn::kColumnsTile) {
       const std::size_t w = std::min(nn::kColumnsTile, n - begin);
-      // SOCPINN_HOT_ALLOW(resize): warm capacity after one call of at least
-      // kColumnsTile columns (test_alloc_free.cpp probes it)
-      ws.sensors.resize(3, std::max(w, nn::kColumnsMinBatch));
+      // SOCPINN_HOT_ALLOW(resize): warm capacity after one estimate and one
+      // predict of kColumnsTile columns (test_alloc_free.cpp probes it)
+      ws.input.resize(3, std::max(w, nn::kColumnsMinBatch));
       for (std::size_t i = 0; i < w; ++i) {
         const SensorReport r = sensors(begin + i);
-        ws.sensors(0, i) = static_cast<T>(r.voltage);
-        ws.sensors(1, i) = static_cast<T>(r.current);
-        ws.sensors(2, i) = static_cast<T>(r.temp_c);
+        ws.input(0, i) = static_cast<T>(r.voltage);
+        ws.input(1, i) = static_cast<T>(r.current);
+        ws.input(2, i) = static_cast<T>(r.temp_c);
       }
-      nn::zero_pad_columns(ws.sensors, w);
-      const nn::MatrixT<T>& est = model.estimate_columns(ws.sensors, ws);
+      nn::zero_pad_columns(ws.input, w);
+      const nn::MatrixT<T>& est = model.estimate_columns(ws.input, ws);
       for (std::size_t i = 0; i < w; ++i) {
         store(begin + i, clamp_soc(static_cast<double>(est(0, i))));
       }
@@ -163,21 +165,20 @@ class EngineCore {
   SOCPINN_HOT void predict(const core::TwoBranchSnapshotT<T>& model,
                            core::InferenceWorkspaceT<T>& ws, std::size_t n,
                            Rows&& row, Store&& store) const {
-    nn::MatrixT<T>& input = ws.branch2_input;
     for (std::size_t begin = 0; begin < n; begin += nn::kColumnsTile) {
       const std::size_t w = std::min(nn::kColumnsTile, n - begin);
-      // SOCPINN_HOT_ALLOW(resize): warm capacity after one call of at least
-      // kColumnsTile columns (test_alloc_free.cpp probes it)
-      input.resize(4, std::max(w, nn::kColumnsMinBatch));
+      // SOCPINN_HOT_ALLOW(resize): warm capacity after one estimate and one
+      // predict of kColumnsTile columns (test_alloc_free.cpp probes it)
+      ws.input.resize(4, std::max(w, nn::kColumnsMinBatch));
       for (std::size_t i = 0; i < w; ++i) {
         const Branch2Row r = row(begin + i);
-        input(0, i) = static_cast<T>(r.soc);
-        input(1, i) = static_cast<T>(r.avg_current);
-        input(2, i) = static_cast<T>(r.avg_temp_c);
-        input(3, i) = static_cast<T>(r.horizon_s);
+        ws.input(0, i) = static_cast<T>(r.soc);
+        ws.input(1, i) = static_cast<T>(r.avg_current);
+        ws.input(2, i) = static_cast<T>(r.avg_temp_c);
+        ws.input(3, i) = static_cast<T>(r.horizon_s);
       }
-      nn::zero_pad_columns(input, w);
-      const nn::MatrixT<T>& pred = model.predict_columns(input, ws);
+      nn::zero_pad_columns(ws.input, w);
+      const nn::MatrixT<T>& pred = model.predict_columns(ws.input, ws);
       for (std::size_t i = 0; i < w; ++i) {
         store(begin + i, clamp_soc(static_cast<double>(pred(0, i))));
       }

@@ -44,7 +44,15 @@ FleetEngine::FleetEngine(const core::TwoBranchNet& net, std::size_t num_cells,
       override_(num_cells),
       override_active_(num_cells, 0),
       params_(num_cells, config.default_params),
-      cell_mode_(num_cells, 0) {}
+      cell_mode_(num_cells, 0) {
+  // Reserve, not resize: the first busy tick then allocates nothing, and
+  // pages no drain ever fills stay out of the resident set.
+  for (std::size_t s = 0; s < scratch_.size(); ++s) {
+    const ShardRange shard = shard_range(num_cells, s, scratch_.size());
+    scratch_[s].pending.reserve(shard.end - shard.begin);
+    scratch_[s].reports.reserve(shard.end - shard.begin);
+  }
+}
 
 void FleetEngine::init_from_sensors(const nn::Matrix& sensors_raw) {
   if (sensors_raw.rows() != num_cells() || sensors_raw.cols() != 3) {
@@ -189,56 +197,53 @@ void FleetEngine::set_soc(std::span<const double> soc) {
 
 SOCPINN_HOT void FleetEngine::drain_shard(ShardScratch& scratch,
                                           std::size_t begin, std::size_t end) {
-  // Param updates first: a capacity published by the slow SoH loop takes
-  // effect from this very tick's physics advance on. Skip-and-count
-  // validity here is is_finite AND core::is_valid — a FINITE capacity of
-  // 0 would poison the Eq. 1 divisor just like a NaN, so the drain holds
-  // the same bar the synchronous set_cell_params enforces by throwing.
-  ParamUpdate update;
-  for (std::size_t cell = begin; cell < end; ++cell) {
-    if (mailbox_.consume_params(cell, update)) {
-      const core::CellParams p{update.capacity_ah, update.coulombic_eff};
-      if (!is_finite(update) || !core::is_valid(p)) {
-        dropped_param_updates_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      params_[cell] = p;
-    }
-  }
-  // Workload overrides next: they replace the staged Branch-2 row of this
-  // very tick (sticky until a newer override supersedes them).
-  WorkloadOverride forecast;
-  for (std::size_t cell = begin; cell < end; ++cell) {
-    if (mailbox_.consume_workload(cell, forecast)) {
-      // Skip-and-count (serve::is_finite policy): a NaN/Inf forecast would
-      // stick in the override table and poison every tick until superseded.
-      if (!is_finite(forecast)) {
-        dropped_workload_overrides_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      override_[cell] = forecast;
-      override_active_[cell] = 1;
-    }
-  }
-  // Sensor reports: gather the pending cells for the caller's batched
-  // Branch-1 re-seed of exactly those cells — the streaming re-anchor,
-  // whose SoC feeds this same tick's Branch-2 input. Non-finite reports are
-  // skipped and counted (the drain cannot throw mid-tick); the cell keeps
-  // its current SoC until the next valid report.
   scratch.pending.clear();
   scratch.reports.clear();
+  ParamUpdate update;
+  WorkloadOverride forecast;
   SensorReport report;
   for (std::size_t cell = begin; cell < end; ++cell) {
-    if (mailbox_.consume_sensors(cell, report)) {
-      if (!is_finite(report)) {
-        dropped_sensor_reports_.fetch_add(1, std::memory_order_relaxed);
-        continue;
+    // Param updates first: a capacity published by the slow SoH loop takes
+    // effect from this very tick's Eq. 1 advance on. Skip-and-count
+    // validity here is is_finite AND core::is_valid — a FINITE capacity of
+    // 0 would poison the Eq. 1 divisor just like a NaN, so the drain holds
+    // the same bar the synchronous set_cell_params enforces by throwing.
+    if (mailbox_.consume_params(cell, update)) {
+      const core::CellParams p{update.capacity_ah, update.coulombic_eff};
+      if (is_finite(update) && core::is_valid(p)) {
+        params_[cell] = p;
+      } else {
+        dropped_param_updates_.fetch_add(1, std::memory_order_relaxed);
       }
-      // Both vectors were grown to full shard size by the warm-up tick.
-      // SOCPINN_HOT_ALLOW(push_back): warm capacity, bounded by end - begin
-      scratch.pending.push_back(cell);
-      // SOCPINN_HOT_ALLOW(push_back): warm capacity, bounded by end - begin
-      scratch.reports.push_back(report);
+    }
+    // Workload overrides next: they replace the staged Branch-2 row of this
+    // very tick (sticky until a newer override supersedes them). A NaN/Inf
+    // forecast would stick in the override table and poison every tick
+    // until superseded, so it is skipped and counted instead.
+    if (mailbox_.consume_workload(cell, forecast)) {
+      if (is_finite(forecast)) {
+        override_[cell] = forecast;
+        override_active_[cell] = 1;
+      } else {
+        dropped_workload_overrides_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    // Sensor reports: gather the pending cells for the caller's batched
+    // Branch-1 re-seed of exactly those cells — the streaming re-anchor,
+    // whose SoC feeds this same tick's Branch-2 input. Non-finite reports
+    // are skipped and counted (the drain cannot throw mid-tick); the cell
+    // keeps its current SoC until the next valid report.
+    if (mailbox_.consume_sensors(cell, report)) {
+      if (is_finite(report)) {
+        // SOCPINN_HOT_ALLOW(push_back): reserved to the shard's width at
+        // construction, bounded by end - begin
+        scratch.pending.push_back(cell);
+        // SOCPINN_HOT_ALLOW(push_back): reserved to the shard's width at
+        // construction, bounded by end - begin
+        scratch.reports.push_back(report);
+      } else {
+        dropped_sensor_reports_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   }
 }
@@ -248,21 +253,6 @@ WorkloadOverride FleetEngine::workload_of(std::size_t cell,
   if (override_active_[cell] != 0) return override_[cell];
   const double* row = rows.data + cell * rows.stride;
   return {row[0], row[1], row[2]};
-}
-
-SOCPINN_HOT void FleetEngine::advance_physics(std::size_t begin,
-                                              std::size_t end,
-                                              WorkloadRows rows) {
-  for (std::size_t cell = begin; cell < end; ++cell) {
-    if (cell_mode_[cell] == 0) continue;
-    const WorkloadOverride w = workload_of(cell, rows);
-    // params_[cell] is valid by construction: every write path (config
-    // seed, set_cell_params, the drain) validates before assigning, so
-    // the non-throwing hot Eq. 1 is safe here.
-    soc_[cell] = clamp_soc(
-        core::eq1_predict(soc_[cell], w.avg_current, w.horizon_s,
-                          params_[cell]));
-  }
 }
 
 SOCPINN_HOT void FleetEngine::tick_shards(WorkloadRows rows) {
@@ -280,8 +270,9 @@ SOCPINN_HOT void FleetEngine::tick_shards(WorkloadRows rows) {
         [&](std::size_t i) { return scratch.reports[i]; },
         [&](std::size_t i, double soc) { soc_[scratch.pending[i]] = soc; });
     // Physics-only cells ride the panel (their columns are computed and
-    // discarded) but keep their prior SoC: advance_physics reads it right
-    // after this, and Eq. 1 must see the true f64 state, not an NN output.
+    // discarded) and advance in the write-back instead, with Eq. 1 from
+    // their own params in f64: the cell's SoC is still the value its
+    // column staged, so Eq. 1 sees the true state, not an NN output.
     predict(
         model, ws, end - begin,
         [&](std::size_t i) {
@@ -290,9 +281,18 @@ SOCPINN_HOT void FleetEngine::tick_shards(WorkloadRows rows) {
                             w.horizon_s};
         },
         [&](std::size_t i, double soc) {
-          if (cell_mode_[begin + i] == 0) soc_[begin + i] = soc;
+          const std::size_t cell = begin + i;
+          if (cell_mode_[cell] == 0) {
+            soc_[cell] = soc;
+            return;
+          }
+          // params_[cell] is valid by construction: every write path
+          // (config seed, set_cell_params, the drain) validates before
+          // assigning, so the non-throwing hot Eq. 1 is safe here.
+          const WorkloadOverride w = workload_of(cell, rows);
+          soc_[cell] = clamp_soc(core::eq1_predict(
+              soc_[cell], w.avg_current, w.horizon_s, params_[cell]));
         });
-    advance_physics(begin, end, rows);
   });
   ++ticks_;
 }

@@ -14,8 +14,11 @@
 /// snapshot, so shared state is only ever read. Shard
 /// boundaries depend on nothing but (num_cells, num_threads), and every
 /// batched row is computed independently, so fleet results are bitwise
-/// identical for any thread count. After one warm-up tick per shard the
-/// engine performs zero heap allocations per tick.
+/// identical for any thread count. The mailbox-drain staging is reserved
+/// to each shard's width at construction, so once the engine has run one
+/// Branch-1 estimate and one tick (init_from_sensors, then step) it
+/// performs zero heap allocations per tick, however many messages a later
+/// tick drains.
 ///
 /// Live serving (async ingest + hot-swap):
 ///
@@ -253,7 +256,8 @@ class FleetEngine : public EngineCore {
  private:
   /// Per-shard mailbox-drain staging, one cache line per shard: the
   /// headers are written every tick, so neighbouring shards must not
-  /// share a line.
+  /// share a line. Both vectors are reserved to the shard's width at
+  /// construction.
   struct alignas(64) ShardScratch {
     std::vector<std::size_t> pending;   ///< cells with a fresh sensor report
     std::vector<SensorReport> reports;  ///< their drained payloads
@@ -273,18 +277,21 @@ class FleetEngine : public EngineCore {
   static FleetConfig validated(std::size_t num_cells, FleetConfig config);
 
   /// One tick over every shard: drain, Branch-1 re-seed of the drained
-  /// reports, one Branch-2 panel over the shard (an active override
-  /// replaces its cell's row; physics-only cells keep their SoC), then
-  /// physics. `rows` is already validated.
+  /// reports, then one Branch-2 panel over the shard (an active override
+  /// replaces its cell's row) whose write-back advances each cell: a
+  /// cascade cell takes its prediction, a physics-only cell discards it
+  /// and takes Eq. 1 from its own params under workload_of (matching
+  /// RolloutEngine's physics lanes). `rows` is already validated.
   void tick_shards(WorkloadRows rows) SOCPINN_REQUIRES(tick_serial_);
 
-  /// Drains this shard's cell range of the mailbox: consumes param updates
-  /// and workload overrides into the per-cell tables, and gathers every
-  /// cell with a valid pending sensor report into scratch.pending /
-  /// scratch.reports for the tick's Branch-1 re-seed — the same estimate
-  /// body init_from_sensors and reseed_from_sensors run, which (with
-  /// per-column independence) is the whole bitwise drain-equivalence
-  /// argument. Allocation-free once the drain staging is warm.
+  /// Drains this shard's cell range of the mailbox in one pass: for each
+  /// cell, consumes a param update and then a workload override into the
+  /// per-cell tables, then gathers a valid pending sensor report into
+  /// scratch.pending / scratch.reports for the tick's Branch-1 re-seed —
+  /// the same estimate body init_from_sensors and reseed_from_sensors run,
+  /// which (with per-column independence) is the whole bitwise
+  /// drain-equivalence argument. Allocation-free: the staging is reserved
+  /// at construction.
   void drain_shard(ShardScratch& scratch, std::size_t begin, std::size_t end)
       SOCPINN_REQUIRES(shard_exec_);
 
@@ -293,13 +300,6 @@ class FleetEngine : public EngineCore {
   /// advance in full precision under both engine precisions.
   [[nodiscard]] WorkloadOverride workload_of(std::size_t cell,
                                              WorkloadRows rows) const;
-
-  /// Advances every CellMode::kPhysicsOnly cell of [begin, end) with
-  /// Eq. 1 from its own params — after the shard's NN forward (whose
-  /// write-back skips physics cells, so the prior SoC is still intact
-  /// here), under workload_of (matching RolloutEngine's physics lanes).
-  void advance_physics(std::size_t begin, std::size_t end, WorkloadRows rows)
-      SOCPINN_REQUIRES(shard_exec_);
 
   /// Owning mailbox or a view over FleetConfig::external_mailbox_slots,
   /// depending on the config.

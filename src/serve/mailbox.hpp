@@ -123,8 +123,7 @@ struct ParamUpdate {
 /// Non-finite messages a drain skipped, per kind — the aggregation unit of
 /// the skip-and-count side of serve::is_finite. Plain copyable counters so
 /// a sharded parent can sum per-worker stats across process boundaries
-/// (each worker exports its own through the shm transport) and reset its
-/// aggregate between soak windows.
+/// (each worker exports its own through the shm transport).
 struct IngestStats {
   std::uint64_t dropped_sensor_reports = 0;
   std::uint64_t dropped_workload_overrides = 0;
@@ -132,8 +131,6 @@ struct IngestStats {
   /// core::CellParams failed is_valid (e.g. capacity <= 0 — finite but
   /// just as poisonous to the Eq. 1 divisor).
   std::uint64_t dropped_param_updates = 0;
-
-  void reset() { *this = IngestStats{}; }
 
   IngestStats& operator+=(const IngestStats& other) {
     dropped_sensor_reports += other.dropped_sensor_reports;

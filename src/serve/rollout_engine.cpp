@@ -121,30 +121,6 @@ void RolloutEngine::run_into(std::span<const RolloutLane> lanes,
   });
 }
 
-SOCPINN_HOT std::size_t RolloutEngine::gather_reanchors(ShardScratch& s,
-                                            std::span<const RolloutLane> lanes,
-                                            std::size_t begin,
-                                            std::size_t count,
-                                            std::size_t step) {
-  s.pending.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    const RolloutLane& lane = lanes[begin + i];
-    if (lane.reanchor == nullptr) continue;
-    std::size_t& pos = s.plan_pos[i];
-    // Plan steps are validated strictly increasing and < num_steps(), so
-    // the cursor never has to skip: every planned step is visited while
-    // the lane is still alive.
-    if (pos < lane.reanchor->steps.size() &&
-        lane.reanchor->steps[pos] == step) {
-      // SOCPINN_HOT_ALLOW(push_back): warm capacity, bounded by the shard's
-      // lane count after the first run
-      s.pending.push_back(i);
-      ++pos;
-    }
-  }
-  return s.pending.size();
-}
-
 template <typename T>
 SOCPINN_HOT void RolloutEngine::roll_shard(
     const core::TwoBranchSnapshotT<T>& model, core::InferenceWorkspaceT<T>& ws,
@@ -196,11 +172,24 @@ SOCPINN_HOT void RolloutEngine::roll_shard(
   for (std::size_t step = 0;; ++step) {
     std::size_t active = 0;   // gathered NN columns this step
     bool any_alive = false;
+    s.pending.clear();
     for (std::size_t i = 0; i < count; ++i) {
       const RolloutLane& lane = lanes[begin + i];
       if (step >= lane.schedule->num_steps()) continue;
       any_alive = true;
       if (lane.kind == LaneKind::kCascade) s.gather[active++] = i;
+      // Plan steps are validated strictly increasing and < num_steps(), so
+      // the cursor never has to skip: every planned step is visited while
+      // the lane is still alive.
+      const data::ReanchorPlan* plan = lane.reanchor;
+      std::size_t& pos = s.plan_pos[i];
+      if (plan != nullptr && pos < plan->steps.size() &&
+          plan->steps[pos] == step) {
+        // SOCPINN_HOT_ALLOW(push_back): warm capacity, bounded by the
+        // shard's lane count after the first run
+        s.pending.push_back(i);
+        ++pos;
+      }
     }
     if (!any_alive) break;
 
@@ -211,7 +200,7 @@ SOCPINN_HOT void RolloutEngine::roll_shard(
     // step is < num_steps, so every firing lane is still alive and its
     // trajectory's last entry is the point at times_s[step].
     estimate(
-        model, ws, gather_reanchors(s, lanes, begin, count, step),
+        model, ws, s.pending.size(),
         [&](std::size_t g) {
           const std::size_t i = s.pending[g];
           const data::ReanchorPlan& plan = *lanes[begin + i].reanchor;

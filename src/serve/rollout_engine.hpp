@@ -153,14 +153,6 @@ class RolloutEngine : public EngineCore {
     std::vector<std::size_t> pending;   ///< local lanes re-anchoring now
   };
 
-  /// Scans the shard's closed-loop lanes for plans firing at `step`,
-  /// gathering the local lane indices into s.pending and advancing the
-  /// per-lane plan cursors. Returns the pending count.
-  static std::size_t gather_reanchors(ShardScratch& s,
-                                      std::span<const RolloutLane> lanes,
-                                      std::size_t begin, std::size_t count,
-                                      std::size_t step);
-
   /// One shard of run_into: the seed, every re-anchor and every step is
   /// one EngineCore::estimate / predict panel through the snapshot at T.
   template <typename T>

@@ -73,11 +73,7 @@ void shard_worker_main(const ShardWorkerContext& ctx) {
     while ((model_version = ctx.model->read_if_newer(0, blob)) == 0) nap();
     std::istringstream in(blob);
     const core::TwoBranchNet net = core::load_model(in);
-    FleetConfig cfg;
-    cfg.threads = ctx.threads;
-    cfg.clamp_soc = ctx.clamp_soc;
-    cfg.precision = ctx.precision;
-    cfg.default_params = ctx.default_params;
+    FleetConfig cfg = ctx.engine;
     cfg.external_mailbox_slots = ctx.mailbox_slots;
     engine.emplace(net, n, cfg);
     staged.emplace(n, 3);

@@ -23,8 +23,7 @@
 
 #include <cstddef>
 
-#include "core/cell_params.hpp"
-#include "core/net_snapshot.hpp"
+#include "serve/fleet_engine.hpp"
 #include "serve/mailbox.hpp"
 #include "serve/shm_transport.hpp"
 
@@ -41,13 +40,9 @@ struct ShardWorkerContext {
   std::size_t num_cells = 0;             ///< this shard's cell count
   const ModelRegion* model = nullptr;    ///< shared versioned model store
 
-  std::size_t threads = 1;  ///< FleetConfig::threads of the worker engine
-  bool clamp_soc = true;
-  core::Precision precision = core::Precision::kFloat64;
-  /// FleetConfig::default_params of the worker engine — every cell of the
-  /// shard starts with these Eq. 1 parameters until a publish_params
-  /// message (drained in the worker's engine) replaces its own.
-  core::CellParams default_params;
+  /// The worker engine's config, as the parent resolved it; the worker
+  /// only points external_mailbox_slots at `mailbox_slots`.
+  FleetConfig engine;
 
   /// Optional allocation probe: a function returning this process's
   /// cumulative allocation count (e.g. a counting operator new installed

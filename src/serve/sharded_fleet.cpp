@@ -101,6 +101,10 @@ ShardedFleet::ShardedFleet(const core::TwoBranchNet& net,
   // except commands. This parent owns no threads, so fork-without-exec is
   // safe here; callers that do run threads get children whose only live
   // code path is shard_worker_main over the inherited mappings.
+  const FleetConfig engine_config{.threads = config.threads_per_worker,
+                                  .clamp_soc = config.clamp_soc,
+                                  .precision = config.precision,
+                                  .default_params = config.default_params};
   for (Worker& w : workers_) {
     ShardWorkerContext ctx;
     ctx.header = w.header;
@@ -109,10 +113,7 @@ ShardedFleet::ShardedFleet(const core::TwoBranchNet& net,
     ctx.input = w.input;
     ctx.num_cells = w.shard.size();
     ctx.model = &model_region_;
-    ctx.threads = config.threads_per_worker;
-    ctx.clamp_soc = config.clamp_soc;
-    ctx.precision = config.precision;
-    ctx.default_params = config.default_params;
+    ctx.engine = engine_config;
     ctx.alloc_counter = config.alloc_counter;
     // Flush inherited stdio buffers so the child's _exit cannot re-emit
     // the parent's pending output.

@@ -33,48 +33,19 @@ struct ShardRange {
 /// [floor(n*shard/shards), floor(n*(shard+1)/shards)), the boundaries the
 /// pool has always used, but computed without the n*(shard+1) product that
 /// wraps std::size_t for n > SIZE_MAX/shards (a fleet-sized n on a wide
-/// pool would silently hand shards inverted ranges). The product runs
-/// through a 128-bit intermediate where available; the divide-first
-/// fallback (n = q*shards + r, so floor(n*s/shards) = q*s + floor(r*s/
-/// shards)) produces identical boundaries and only needs r*s < SIZE_MAX,
-/// i.e. shards below ~2^32 — far beyond any real pool.
-namespace detail {
-
-/// The divide-first fallback body of shard_range, compiled UNCONDITIONALLY
-/// so hosts with __int128 (i.e. every CI runner) still build and test it —
-/// it used to live behind the #else alone and was never exercised anywhere
-/// __int128 exists. n = q*shards + r gives floor(n*s/shards) = q*s +
-/// floor(r*s/shards); identical boundaries to the wide path (pinned by
-/// tests/serve/test_thread_pool.cpp on the SIZE_MAX edge cases), needing
-/// only r*s < SIZE_MAX, i.e. shards below ~2^32 — far beyond any real
-/// pool.
-[[nodiscard]] inline ShardRange shard_range_divide_first(std::size_t n,
-                                                         std::size_t shard,
-                                                         std::size_t shards) {
+/// pool would silently hand shards inverted ranges). Dividing first,
+/// n = q*shards + r gives floor(n*s/shards) = q*s + floor(r*s/shards),
+/// which only needs r*s < SIZE_MAX, i.e. shards below ~2^32 — far beyond
+/// any real pool (tests/serve/test_thread_pool.cpp pins it against the
+/// 128-bit product on the SIZE_MAX edge cases).
+[[nodiscard]] inline ShardRange shard_range(std::size_t n, std::size_t shard,
+                                            std::size_t shards) {
   const std::size_t q = n / shards;
   const std::size_t r = n % shards;
   const auto bound = [q, r, shards](std::size_t s) {
     return q * s + r * s / shards;
   };
   return {bound(shard), bound(shard + 1)};
-}
-
-}  // namespace detail
-
-/// Define SOCPINN_SHARD_RANGE_DIVIDE_FIRST (whole-build, e.g. via CMake —
-/// never per-TU, shard_range is inline and ODR-visible everywhere) to pin
-/// shard_range to the fallback even where __int128 exists; the CI matrix
-/// stays on the wide path and covers the fallback through the direct tests
-/// of detail::shard_range_divide_first instead.
-[[nodiscard]] inline ShardRange shard_range(std::size_t n, std::size_t shard,
-                                            std::size_t shards) {
-#if defined(__SIZEOF_INT128__) && !defined(SOCPINN_SHARD_RANGE_DIVIDE_FIRST)
-  using Wide = unsigned __int128;
-  return {static_cast<std::size_t>(Wide(n) * shard / shards),
-          static_cast<std::size_t>(Wide(n) * (shard + 1) / shards)};
-#else
-  return detail::shard_range_divide_first(n, shard, shards);
-#endif
 }
 
 class ThreadPool {

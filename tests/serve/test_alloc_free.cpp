@@ -247,6 +247,39 @@ TEST(AllocFree, MailboxDrainAndPostSwapTicksAllocateNothing) {
   EXPECT_EQ(engine.ticks(), 26u);
 }
 
+TEST(AllocFree, FirstBusyTickAfterAQuietWarmUpAllocatesNothing) {
+  // A fleet warmed only by quiet ticks has never drained a message, so its
+  // first busy tick is the first to fill the drain staging: that staging
+  // must already hold a whole shard's worth of pending reports.
+  const core::TwoBranchNet net = testing::make_fitted_net(21);
+  const std::size_t cells = 500;
+  for (const core::Precision precision :
+       {core::Precision::kFloat64, core::Precision::kFloat32}) {
+    SCOPED_TRACE(precision == core::Precision::kFloat32 ? "f32" : "f64");
+    util::Rng rng(23);
+    nn::Matrix sensors(cells, 3);
+    nn::Matrix workload(cells, 3);
+    for (auto& v : sensors.data()) v = rng.uniform(-1.0, 1.0);
+    for (auto& v : workload.data()) v = rng.uniform(-1.0, 1.0);
+
+    FleetConfig config;
+    config.threads = 2;
+    config.precision = precision;
+    FleetEngine engine(net, cells, config);
+    engine.init_from_sensors(sensors);
+    engine.step(workload);  // quiet warm-up: the mailbox is empty
+
+    const std::size_t before = allocs();
+    for (std::size_t c = 0; c < cells; ++c) {
+      engine.mailbox().publish_sensors(c, {3.9, -1.5, 25.0});
+      engine.mailbox().publish_workload(c, {-2.0, 25.0, 60.0});
+    }
+    engine.step(workload);
+    EXPECT_EQ(allocs(), before) << "the first busy tick allocated";
+    EXPECT_EQ(engine.ticks(), 2u);
+  }
+}
+
 TEST(AllocFree, ParamDrainTicksSteadyStateAllocateNothing) {
   // The param plane rides the same hot path: ticks that drain a stream of
   // per-cell CellParams updates — including ones steering physics-mode

@@ -72,6 +72,15 @@ TEST(FleetEngine, MatchesScalarCascadePerCell) {
   util::Rng rng(101);
   const nn::Matrix sensors = random_sensors(cells, rng);
   const nn::Matrix workload = random_workload(cells, rng);
+  // Every fifth cell advances with Eq. 1 from its own params instead of
+  // Branch 2, so physics-only cells sit in both tiles of a 1-thread shard.
+  std::vector<CellMode> modes(cells, CellMode::kCascade);
+  std::vector<core::CellParams> params(cells);
+  for (std::size_t i = 0; i < cells; i += 5) {
+    modes[i] = CellMode::kPhysicsOnly;
+    params[i] = {.capacity_ah = 1.5 + 0.01 * static_cast<double>(i),
+                 .coulombic_eff = 0.97};
+  }
 
   // At 3 threads every shard fits one column tile; at 1 thread the shard
   // is a full 64-column tile plus a 33-cell tail. This net clamps every
@@ -85,6 +94,8 @@ TEST(FleetEngine, MatchesScalarCascadePerCell) {
       config.threads = threads;
       config.clamp_soc = clamp;
       FleetEngine engine(net, cells, config);
+      engine.set_cell_modes(modes);
+      engine.set_cell_params(params);
       engine.init_from_sensors(sensors);
       engine.step(workload);
       engine.step(workload);
@@ -97,8 +108,12 @@ TEST(FleetEngine, MatchesScalarCascadePerCell) {
         double soc = stored(net.estimate_soc(sensors(i, 0), sensors(i, 1),
                                              sensors(i, 2), ws));
         for (int tick = 0; tick < 2; ++tick) {
-          soc = stored(net.predict_soc(soc, workload(i, 0), workload(i, 1),
-                                       workload(i, 2), ws));
+          soc = stored(modes[i] == CellMode::kPhysicsOnly
+                           ? core::eq1_predict(soc, workload(i, 0),
+                                               workload(i, 2), params[i])
+                           : net.predict_soc(soc, workload(i, 0),
+                                             workload(i, 1), workload(i, 2),
+                                             ws));
         }
         EXPECT_DOUBLE_EQ(engine.soc()[i], soc) << "cell " << i;
       }

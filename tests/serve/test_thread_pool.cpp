@@ -53,10 +53,15 @@ TEST(ShardRange, SurvivesSizesNearSizeMax) {
 }
 
 TEST(ShardRange, DivideFirstFallbackMatchesWidePathOnBoundaryCases) {
-  // The #else fallback of shard_range only auto-selects where __int128 is
-  // absent — no CI host — so the body is exposed as
-  // detail::shard_range_divide_first and pinned equal to the wide path
-  // here, on exactly the boundary cases the overflow fix exists for.
+  // shard_range divides first so n * (shard + 1) cannot wrap; pin it equal
+  // to the exact 128-bit product floor(n * s / shards) on exactly the
+  // boundary cases the overflow fix exists for.
+#if defined(__SIZEOF_INT128__)
+  using Wide = unsigned __int128;
+  const auto wide_bound = [](std::size_t n, std::size_t s,
+                             std::size_t shards) {
+    return static_cast<std::size_t>(Wide(n) * s / shards);
+  };
   const std::size_t max = std::numeric_limits<std::size_t>::max();
   const std::size_t ns[] = {0,       1,      2,         103,
                             1000,    4096,   max / 2,   max / 2 + 3,
@@ -65,20 +70,20 @@ TEST(ShardRange, DivideFirstFallbackMatchesWidePathOnBoundaryCases) {
   for (const std::size_t n : ns) {
     for (const std::size_t shards : shard_counts) {
       for (std::size_t s = 0; s < shards; s += (shards > 8 ? shards / 8 : 1)) {
-        const ShardRange wide = shard_range(n, s, shards);
-        const ShardRange fallback = detail::shard_range_divide_first(n, s,
-                                                                     shards);
-        ASSERT_EQ(fallback.begin, wide.begin)
+        const ShardRange got = shard_range(n, s, shards);
+        ASSERT_EQ(got.begin, wide_bound(n, s, shards))
             << "n " << n << " shard " << s << " of " << shards;
-        ASSERT_EQ(fallback.end, wide.end)
+        ASSERT_EQ(got.end, wide_bound(n, s + 1, shards))
             << "n " << n << " shard " << s << " of " << shards;
       }
       // The last shard's end must close the cover exactly.
-      const ShardRange last = detail::shard_range_divide_first(n, shards - 1,
-                                                               shards);
+      const ShardRange last = shard_range(n, shards - 1, shards);
       ASSERT_EQ(last.end, n) << "n " << n << " shards " << shards;
     }
   }
+#else
+  GTEST_SKIP() << "no unsigned __int128 to compute the reference product";
+#endif
 }
 
 TEST(ThreadPool, SizeAccountsForCallerThread) {
