@@ -143,20 +143,20 @@ std::vector<double> DeMlpEstimator::predict(const data::Trace& trace,
   out.reserve(n);
   if (n == 0) return out;
 
-  // One batched forward over every stride-th sample instead of a
-  // per-sample loop.
-  nn::Matrix raw(n, 3);
-  std::size_t r = 0;
-  for (std::size_t t = 0; t < trace.size(); t += stride, ++r) {
-    raw(r, 0) = trace[t].voltage;
-    raw(r, 1) = trace[t].current;
-    raw(r, 2) = trace[t].temp_c;
+  // One batched forward over every stride-th sample, staged feature-major
+  // (one row per feature) instead of a per-sample loop.
+  nn::Matrix raw(3, n);
+  std::size_t j = 0;
+  for (std::size_t t = 0; t < trace.size(); t += stride, ++j) {
+    raw(0, j) = trace[t].voltage;
+    raw(1, j) = trace[t].current;
+    raw(2, j) = trace[t].temp_c;
   }
   nn::ForwardWorkspace ws;
   nn::Matrix scaled;
-  scaler_.transform_into(raw, scaled);
-  const nn::Matrix& pred = net_.infer(scaled, ws);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(pred(i, 0));
+  scaler_.transform_columns_into(raw, scaled);
+  const nn::Matrix& pred = net_.infer_columns(scaled, ws);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(pred(0, i));
   return out;
 }
 

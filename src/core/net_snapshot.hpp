@@ -29,28 +29,16 @@ namespace socpinn::core {
 /// Scalar type of the serve-side forward. Both precisions run the same
 /// feature-major panel path through a TwoBranchSnapshotT<T> converted once
 /// per snapshot: kFloat64 is bitwise identical to the trained net's own
-/// nn::Matrix forwards, kFloat32 trades ~1e-5 SoC for panel throughput.
+/// forwards, kFloat32 trades ~1e-5 SoC for panel throughput.
 enum class Precision {
   kFloat64,
   kFloat32,
 };
 
-/// Caller-owned scratch for allocation-free snapshot inference: one set of
-/// layer panels, the standardize output and the raw input panel, shared by
-/// both branches. A forward's result points into `layers`, so a caller
-/// reads it back before staging the next forward of either branch.
-template <typename T>
-struct InferenceWorkspaceT {
-  nn::ForwardWorkspaceT<T> layers;
-  nn::MatrixT<T> scaled;  ///< standardized inputs of the current forward
-  /// Raw feature-major input: 3 x n sensors for Branch 1, 4 x n rows for
-  /// Branch 2.
-  nn::MatrixT<T> input;
-};
-
-/// Immutable T-precision twin of a trained TwoBranchNet. Feature-major
-/// only: the serve engines stage panels anyway, and at T = double the
-/// panel forward is bitwise equal to the net's row-major one.
+/// Immutable T-precision twin of a trained TwoBranchNet, run with an
+/// InferenceWorkspaceT<T> (two_branch_net.hpp). At T = double it runs the
+/// same kernel and activation pass as the net's own forward over copied
+/// weights, so the two agree bitwise.
 template <typename T>
 class TwoBranchSnapshotT {
  public:

@@ -13,8 +13,8 @@ HorizonPrediction predict_cascade(const TwoBranchNet& net,
   if (n == 0) throw std::invalid_argument("predict_cascade: empty eval set");
 
   InferenceWorkspace ws;
-  // Branch-1 output lives in ws.branch1 and stays valid through the
-  // Branch-2 forward below (documented workspace contract).
+  // The Branch-1 result lives in ws only until the next forward, so it is
+  // copied into the Branch-2 inputs before predict_batch reuses ws.
   const nn::Matrix& soc_est = net.estimate_batch(eval.sensors, ws);
   nn::Matrix b2_raw(n, 4);
   for (std::size_t r = 0; r < n; ++r) {

@@ -19,6 +19,25 @@ std::vector<std::size_t> branch_dims(std::size_t inputs,
   return dims;
 }
 
+/// Standardizes a feature-major raw batch and runs `branch` on it: the
+/// one forward under every inference call. The result (out_features x n)
+/// lives in ws.layers.
+const nn::Matrix& forward(const nn::Mlp& branch,
+                          const nn::StandardScaler& scaler,
+                          const nn::Matrix& raw_columns,
+                          InferenceWorkspace& ws) {
+  scaler.transform_columns_into(raw_columns, ws.scaled);
+  return branch.infer_columns(ws.scaled, ws.layers);
+}
+
+/// Hands a forward's result back row-major (n x out_features) in
+/// ws.input, whose raw batch the forward has already consumed.
+const nn::Matrix& rows_result(const nn::Matrix& columns,
+                              InferenceWorkspace& ws) {
+  nn::transpose_into(columns, ws.input);
+  return ws.input;
+}
+
 }  // namespace
 
 TwoBranchNet::TwoBranchNet(TwoBranchConfig config, std::uint64_t seed)
@@ -34,20 +53,19 @@ TwoBranchNet::TwoBranchNet(TwoBranchConfig config, std::uint64_t seed)
 
 const nn::Matrix& TwoBranchNet::estimate_batch(const nn::Matrix& sensors_raw,
                                                InferenceWorkspace& ws) const {
-  scaler1_.transform_into(sensors_raw, ws.scaled);
-  return branch1_.infer(ws.scaled, ws.branch1);
+  nn::transpose_into(sensors_raw, ws.input);
+  return rows_result(forward(branch1_, scaler1_, ws.input, ws), ws);
 }
 
 const nn::Matrix& TwoBranchNet::predict_batch(const nn::Matrix& branch2_raw,
                                               InferenceWorkspace& ws) const {
-  scaler2_.transform_into(branch2_raw, ws.scaled);
-  return branch2_.infer(ws.scaled, ws.branch2);
+  nn::transpose_into(branch2_raw, ws.input);
+  return rows_result(forward(branch2_, scaler2_, ws.input, ws), ws);
 }
 
 const nn::Matrix& TwoBranchNet::predict_batch_columns(
     const nn::Matrix& branch2_raw_columns, InferenceWorkspace& ws) const {
-  scaler2_.transform_columns_into(branch2_raw_columns, ws.scaled);
-  return branch2_.infer_columns(ws.scaled, ws.branch2);
+  return forward(branch2_, scaler2_, branch2_raw_columns, ws);
 }
 
 const nn::Matrix& TwoBranchNet::cascade_batch(const nn::Matrix& sensors_raw,
@@ -57,35 +75,38 @@ const nn::Matrix& TwoBranchNet::cascade_batch(const nn::Matrix& sensors_raw,
   if (workload_raw.rows() != n || workload_raw.cols() != 3) {
     throw std::invalid_argument("cascade_batch: workload must be n x 3");
   }
-  const nn::Matrix& soc_now = estimate_batch(sensors_raw, ws);
-  ws.cascade.resize(n, 4);
-  for (std::size_t r = 0; r < n; ++r) {
-    ws.cascade(r, 0) = soc_now(r, 0);
-    ws.cascade(r, 1) = workload_raw(r, 0);
-    ws.cascade(r, 2) = workload_raw(r, 1);
-    ws.cascade(r, 3) = workload_raw(r, 2);
+  nn::transpose_into(sensors_raw, ws.input);
+  const nn::Matrix& soc_now = forward(branch1_, scaler1_, ws.input, ws);
+  // The sensors are consumed once standardized: ws.input now stages the
+  // Branch-2 panel, the estimates read straight from Branch 1's output.
+  ws.input.resize(4, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    ws.input(0, j) = soc_now(0, j);
+    ws.input(1, j) = workload_raw(j, 0);
+    ws.input(2, j) = workload_raw(j, 1);
+    ws.input(3, j) = workload_raw(j, 2);
   }
-  return predict_batch(ws.cascade, ws);
+  return rows_result(forward(branch2_, scaler2_, ws.input, ws), ws);
 }
 
 double TwoBranchNet::estimate_soc(double voltage, double current,
                                   double temp_c, InferenceWorkspace& ws) const {
-  ws.staging.resize(1, 3);
-  ws.staging(0, 0) = voltage;
-  ws.staging(0, 1) = current;
-  ws.staging(0, 2) = temp_c;
-  return estimate_batch(ws.staging, ws)(0, 0);
+  ws.input.resize(3, 1);
+  ws.input(0, 0) = voltage;
+  ws.input(1, 0) = current;
+  ws.input(2, 0) = temp_c;
+  return forward(branch1_, scaler1_, ws.input, ws)(0, 0);
 }
 
 double TwoBranchNet::predict_soc(double soc_now, double avg_current,
                                  double avg_temp_c, double horizon_s,
                                  InferenceWorkspace& ws) const {
-  ws.staging.resize(1, 4);
-  ws.staging(0, 0) = soc_now;
-  ws.staging(0, 1) = avg_current;
-  ws.staging(0, 2) = avg_temp_c;
-  ws.staging(0, 3) = horizon_s;
-  return predict_batch(ws.staging, ws)(0, 0);
+  ws.input.resize(4, 1);
+  ws.input(0, 0) = soc_now;
+  ws.input(1, 0) = avg_current;
+  ws.input(2, 0) = avg_temp_c;
+  ws.input(3, 0) = horizon_s;
+  return forward(branch2_, scaler2_, ws.input, ws)(0, 0);
 }
 
 double TwoBranchNet::estimate_soc(double voltage, double current,

@@ -27,27 +27,36 @@ struct TwoBranchConfig {
   nn::ActivationKind activation = nn::ActivationKind::kRelu;
 };
 
-/// Caller-owned scratch for allocation-free TwoBranchNet inference: per-layer
-/// activation buffers for both branches plus staging matrices for scaling and
-/// cascade assembly. Give each thread its own workspace; the net itself stays
-/// const and shareable.
-struct InferenceWorkspace {
-  nn::ForwardWorkspace branch1;
-  nn::ForwardWorkspace branch2;
-  nn::Matrix scaled;   ///< standardized inputs of the current forward
-  nn::Matrix staging;  ///< raw batch-of-1 staging for the scalar wrappers
-  nn::Matrix cascade;  ///< assembled Branch-2 input of cascade_batch()
+/// Caller-owned scratch for allocation-free inference of either branch:
+/// one set of layer panels, the standardize output and the raw input
+/// panel. TwoBranchNet uses it at T = double (InferenceWorkspace),
+/// TwoBranchSnapshotT<T> at both precisions. A forward's result points
+/// into the workspace, so a caller reads it back before staging the next
+/// forward of either branch. Give each thread its own workspace; the net
+/// and the snapshots stay const and shareable.
+template <typename T>
+struct InferenceWorkspaceT {
+  nn::ForwardWorkspaceT<T> layers;
+  nn::MatrixT<T> scaled;  ///< standardized inputs of the current forward
+  /// Raw feature-major input: 3 x n sensors for Branch 1, 4 x n rows for
+  /// Branch 2. The row-major batch calls also hand their n x 1 result
+  /// back in it.
+  nn::MatrixT<T> input;
 };
+
+using InferenceWorkspace = InferenceWorkspaceT<double>;
 
 class TwoBranchNet {
  public:
   /// Builds both branches with independent weight streams from `seed`.
   explicit TwoBranchNet(TwoBranchConfig config = {}, std::uint64_t seed = 1);
 
-  /// --- The one true forward path: batched, const, allocation-free. ---
-  /// Inputs are raw (unscaled) feature matrices; returned references point
-  /// into `ws` and stay valid until its next use at the same branch.
-  /// Requires fitted scalers (training fits them).
+  /// --- Const, allocation-free inference. ---
+  /// Inputs are raw (unscaled) feature matrices. Every call standardizes
+  /// its batch and runs the branch's Mlp::infer_columns, the one f64
+  /// forward; returned references point into `ws` and stay valid until its
+  /// next forward of either branch. Requires fitted scalers (training fits
+  /// them).
 
   /// Branch-1 batch: n x 3 [V, I, T] -> n x 1 estimated SoC(t).
   const nn::Matrix& estimate_batch(const nn::Matrix& sensors_raw,
@@ -60,21 +69,18 @@ class TwoBranchNet {
   /// Feature-major Branch-2 batch for callers that keep lanes transposed:
   /// `branch2_raw_columns` is 4 x n ([SoC; avg I; avg T; N] rows, batch as
   /// the unit-stride axis), the result is the 1 x n prediction panel. Same
-  /// arithmetic as predict_batch — both layouts agree bitwise — without
-  /// the transpose round-trip; the per-step hot path of RolloutEngine and
-  /// FleetEngine.
+  /// arithmetic as predict_batch, without its two transposes.
   const nn::Matrix& predict_batch_columns(
       const nn::Matrix& branch2_raw_columns, InferenceWorkspace& ws) const;
 
   /// Full cascade: Branch-1 estimates SoC(t) from sensors (n x 3), Branch 2
   /// advances it under `workload_raw` (n x 3: avg I, avg T, horizon N).
-  /// Returns n x 1 SoC(t+N); the intermediate Branch-1 estimates remain
-  /// readable as the previous estimate_batch result inside `ws`.
+  /// Returns n x 1 SoC(t+N).
   const nn::Matrix& cascade_batch(const nn::Matrix& sensors_raw,
                                   const nn::Matrix& workload_raw,
                                   InferenceWorkspace& ws) const;
 
-  /// Const scalar variants: batch-of-1 wrappers over the batched path.
+  /// Const scalar variants: one staged column through the same forward.
   [[nodiscard]] double estimate_soc(double voltage, double current,
                                     double temp_c,
                                     InferenceWorkspace& ws) const;

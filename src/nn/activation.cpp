@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/panel.hpp"
+
 namespace socpinn::nn {
 
 namespace {
@@ -51,53 +53,16 @@ double activate_grad(ActivationKind kind, double x, double y) {
   return 1.0;
 }
 
-namespace {
-
-/// Dispatches the kind switch once, outside the element loop, so each loop
-/// body is a direct (inlinable) call instead of a per-element branch chain.
-template <typename F>
-void for_each_elem(const Matrix& in, Matrix& out, F&& f) {
-  out.resize(in.rows(), in.cols());
-  const auto src = in.data();
-  const auto dst = out.data();
-  for (std::size_t i = 0; i < src.size(); ++i) dst[i] = f(src[i]);
-}
-
-void activate_into(ActivationKind kind, const Matrix& in, Matrix& out) {
-  switch (kind) {
-    case ActivationKind::kRelu:
-      for_each_elem(in, out, [](double x) { return x > 0.0 ? x : 0.0; });
-      return;
-    case ActivationKind::kLeakyRelu:
-      for_each_elem(in, out,
-                    [](double x) { return x > 0.0 ? x : kLeakySlope * x; });
-      return;
-    case ActivationKind::kTanh:
-      for_each_elem(in, out, [](double x) { return std::tanh(x); });
-      return;
-    case ActivationKind::kSigmoid:
-      for_each_elem(in, out,
-                    [](double x) { return 1.0 / (1.0 + std::exp(-x)); });
-      return;
-    case ActivationKind::kIdentity:
-      copy_into(in, out);
-      return;
-  }
-  copy_into(in, out);
-}
-
-}  // namespace
-
 Matrix Activation::forward(const Matrix& input, bool /*train*/) {
   cached_input_ = input;
   Matrix out;
-  activate_into(kind_, input, out);
+  activate_columns(kind_, input, out);
   cached_output_ = out;
   return out;
 }
 
-void Activation::infer_into(const Matrix& input, Matrix& out) const {
-  activate_into(kind_, input, out);
+void Activation::infer_columns(const Matrix& input, Matrix& out) const {
+  activate_columns(kind_, input, out);
 }
 
 Matrix Activation::backward(const Matrix& grad_output) {

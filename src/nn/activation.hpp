@@ -30,7 +30,7 @@ class Activation final : public Layer {
 
   Matrix forward(const Matrix& input, bool train) override;
   Matrix backward(const Matrix& grad_output) override;
-  void infer_into(const Matrix& input, Matrix& out) const override;
+  void infer_columns(const Matrix& input, Matrix& out) const override;
 
   [[nodiscard]] std::string name() const override { return to_string(kind_); }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;

@@ -9,8 +9,9 @@
 /// aligned fast path, no panel straddles a line it doesn't have to, and
 /// the guarantee holds for the autovectorized scalar fallback as much as
 /// for the explicit SIMD kernels. std::vector's default allocator only
-/// guarantees alignof(std::max_align_t) (16 on common ABIs), so Matrix /
-/// MatrixT route their storage through this allocator instead.
+/// guarantees alignof(std::max_align_t) (16 on common ABIs), so MatrixT
+/// (nn::Matrix at double) routes its storage through this allocator
+/// instead.
 /// tests/nn/test_simd_dispatch.cpp asserts the contract on live buffers.
 
 #include <cstddef>
@@ -19,7 +20,7 @@
 
 namespace socpinn::nn {
 
-/// Alignment of every Matrix/MatrixT data() base pointer: one cache line,
+/// Alignment of every MatrixT data() base pointer: one cache line,
 /// which is also the widest vector register (AVX-512) this repo targets.
 inline constexpr std::size_t kPanelAlignment = 64;
 static_assert((kPanelAlignment & (kPanelAlignment - 1)) == 0 &&
@@ -56,7 +57,7 @@ struct AlignedAllocator {
   }
 };
 
-/// The storage type of Matrix / MatrixT.
+/// The storage type of MatrixT.
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 

@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "nn/panel.hpp"
+
 namespace socpinn::nn {
 
 Dense::Dense(std::size_t in, std::size_t out, util::Rng& rng,
@@ -27,22 +29,13 @@ Matrix Dense::forward(const Matrix& input, bool /*train*/) {
   return out;
 }
 
-void Dense::infer_into(const Matrix& input, Matrix& out) const {
-  if (input.cols() != w_.rows()) {
-    throw std::invalid_argument("Dense::infer_into: input width " +
-                                std::to_string(input.cols()) + " != " +
-                                std::to_string(w_.rows()));
-  }
-  matmul_bias_into(input, w_, b_, out);
-}
-
 void Dense::infer_columns(const Matrix& input, Matrix& out) const {
   if (input.rows() != w_.rows()) {
     throw std::invalid_argument("Dense::infer_columns: input features " +
                                 std::to_string(input.rows()) + " != " +
                                 std::to_string(w_.rows()));
   }
-  dense_forward_columns(input, w_, b_, out);
+  dense_forward_columns<double>(input, w_, b_, out);
 }
 
 Matrix Dense::backward(const Matrix& grad_output) {

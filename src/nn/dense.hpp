@@ -20,7 +20,6 @@ class Dense final : public Layer {
 
   Matrix forward(const Matrix& input, bool train) override;
   Matrix backward(const Matrix& grad_output) override;
-  void infer_into(const Matrix& input, Matrix& out) const override;
   void infer_columns(const Matrix& input, Matrix& out) const override;
 
   std::vector<Matrix*> params() override { return {&w_, &b_}; }

@@ -26,23 +26,14 @@ class Layer {
   /// matching forward(); shapes must agree with that forward's output.
   virtual Matrix backward(const Matrix& grad_output) = 0;
 
-  /// Inference-only forward: writes the layer output into `out`, resizing
-  /// it with capacity reuse so the steady state is allocation-free. Caches
-  /// nothing (no backward support) and is const, so concurrent calls are
-  /// safe as long as each caller owns its own `out`. Training-only
-  /// behaviour (e.g. dropout masking) is disabled. `out` must not alias
-  /// `input`.
-  virtual void infer_into(const Matrix& input, Matrix& out) const = 0;
-
-  /// Feature-major variant of infer_into for batched serving: `input` is
+  /// Inference-only forward over a feature-major batch: `input` is
   /// (features x batch) — one row per feature, the batch as the long
-  /// unit-stride axis. Elementwise layers are layout-agnostic, so the
-  /// default simply forwards to infer_into; layers with a feature
-  /// dimension (Dense) override with a batch-axis-vectorized kernel.
-  /// Results are bitwise identical to infer_into on the transposed input.
-  virtual void infer_columns(const Matrix& input, Matrix& out) const {
-    infer_into(input, out);
-  }
+  /// unit-stride axis — and the layer output is written into `out`,
+  /// resized with capacity reuse so the steady state is allocation-free.
+  /// Caches nothing (no backward support) and is const, so concurrent
+  /// calls are safe as long as each caller owns its own `out`. `out` must
+  /// not alias `input`.
+  virtual void infer_columns(const Matrix& input, Matrix& out) const = 0;
 
   /// Trainable parameter tensors (possibly empty). Pointers remain valid
   /// for the lifetime of the layer.

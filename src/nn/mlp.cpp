@@ -44,43 +44,23 @@ Matrix Mlp::forward(const Matrix& input, bool train) {
 }
 
 const Matrix& Mlp::infer(const Matrix& input, ForwardWorkspace& ws) const {
-  // Buffer layout: [0, n) layer outputs, n the transposed input, n+1 the
-  // re-transposed final output of the feature-major path.
   const std::size_t n = layers_.size();
   ws.ensure(n + 2);
-  if (n == 0) {
-    // Layerless net: hand back a workspace-owned copy so the reference
-    // contract (result lives in ws) holds regardless of topology.
-    copy_into(input, ws.buffer(0));
-    return ws.buffer(0);
-  }
-
-  if (input.rows() >= kColumnsMinBatch) {
-    // Feature-major: transpose once, run every layer with the batch as the
-    // unit-stride axis, transpose the (tiny) output back.
-    Matrix& staged = ws.buffer(n);
-    transpose_into(input, staged);
-    const Matrix& out = infer_columns(staged, ws);
-    transpose_into(out, ws.buffer(n + 1));
-    return ws.buffer(n + 1);
-  }
-
-  const Matrix* x = &input;
-  for (std::size_t i = 0; i < n; ++i) {
-    Matrix& out = ws.buffer(i);
-    layers_[i]->infer_into(*x, out);
-    x = &out;
-  }
-  return *x;
+  Matrix& staged = ws.buffer(n);
+  transpose_into(input, staged);
+  Matrix& out = ws.buffer(n + 1);
+  transpose_into(infer_columns(staged, ws), out);
+  return out;
 }
 
 const Matrix& Mlp::infer_columns(const Matrix& input_columns,
                                  ForwardWorkspace& ws) const {
   const std::size_t n = layers_.size();
-  ws.ensure(n + 2);  // same layout as infer() so the two paths can nest
+  ws.ensure(n + 2);  // infer() stages its transposes in buffers n, n + 1
   if (n == 0) {
-    copy_into(input_columns, ws.buffer(0));
-    return ws.buffer(0);
+    // Layerless net: hand back a workspace-owned copy so the reference
+    // contract (result lives in ws) holds regardless of topology.
+    return ws.buffer(0) = input_columns;
   }
   const Matrix* x = &input_columns;
   for (std::size_t i = 0; i < n; ++i) {

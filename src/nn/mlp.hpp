@@ -11,7 +11,6 @@
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
 #include "nn/layer.hpp"
-#include "nn/panel_columns.hpp"
 #include "nn/workspace.hpp"
 #include "util/rng.hpp"
 
@@ -39,22 +38,21 @@ class Mlp {
   void add(std::unique_ptr<Layer> layer);
 
   /// Forward pass through all layers. Caches activations for backward();
-  /// use infer() for the allocation-free inference-only path.
+  /// use infer_columns() for the allocation-free inference-only path.
   Matrix forward(const Matrix& input, bool train = false);
 
-  /// Inference-only batched forward through the workspace's preallocated
-  /// buffers: zero heap allocations once the workspace is warm at the given
-  /// batch size. Const and thread-safe when each thread owns its workspace.
-  /// The returned reference points into `ws` and stays valid until the next
-  /// infer() with the same workspace.
+  /// Row-major adapter over infer_columns(): `input` is (batch x
+  /// in_features); it is transposed into ws, run, and the (batch x
+  /// out_features) result transposed back into ws.
   const Matrix& infer(const Matrix& input, ForwardWorkspace& ws) const;
 
-  /// Feature-major inference for callers that keep the batch transposed:
-  /// `input_columns` is (in_features x batch) and the returned reference
-  /// (out_features x batch) points into ws. Same per-element arithmetic as
-  /// infer() — both layouts agree bitwise — but without the transpose
-  /// round-trip, which makes it the per-step hot path of lockstep rollout
-  /// and serving loops (and the seam a device backend plugs into).
+  /// Inference-only forward over a feature-major batch: `input_columns`
+  /// is (in_features x batch) and the returned reference (out_features x
+  /// batch) points into `ws`, valid until its next use. Runs every layer's
+  /// infer_columns over the net's live weights, with no weight copy and,
+  /// once ws is warm at the batch size, no heap allocation. Const and
+  /// thread-safe when each thread owns its workspace. Bitwise equal to
+  /// MlpSnapshotT<double>::infer_columns of the same net.
   const Matrix& infer_columns(const Matrix& input_columns,
                               ForwardWorkspace& ws) const;
 

@@ -12,11 +12,6 @@
 
 namespace socpinn::nn {
 
-namespace {
-
-/// Elementwise activation at scalar type T — the same formulas as
-/// activation.cpp's double path, evaluated natively at T so the float
-/// backend never round-trips through double.
 template <typename T>
 SOCPINN_HOT void activate_columns(ActivationKind kind, const MatrixT<T>& in,
                                   MatrixT<T>& out) {
@@ -52,8 +47,6 @@ SOCPINN_HOT void activate_columns(ActivationKind kind, const MatrixT<T>& in,
   throw std::logic_error("activate_columns: unknown activation kind");
 }
 
-}  // namespace
-
 template <typename T>
 SOCPINN_HOT void dense_forward_columns(const MatrixT<T>& activations,
                            const MatrixT<T>& weights,
@@ -72,8 +65,10 @@ SOCPINN_HOT void dense_forward_columns(const MatrixT<T>& activations,
   }
   // SOCPINN_HOT_ALLOW(resize): warm workspace capacity, layer shapes fixed
   out.resize(weights.cols(), activations.cols());
-  // Same runtime-ISA dispatch as the nn::Matrix overload; the templated
-  // serve path and the f64 reference path always agree on the kernel.
+  // Runtime-ISA dispatch (nn/panel_dispatch.hpp): the resolved kernel —
+  // explicit AVX-512/AVX2/NEON or the scalar template — is bitwise
+  // identical to the scalar reference at f64, so dispatch changes
+  // throughput, never results.
   simd::dense_columns<T>(activations.data().data(), weights.data().data(),
                          bias_row.data().data(), out.data().data(),
                          weights.rows(), weights.cols(),
@@ -191,8 +186,8 @@ SOCPINN_HOT const MatrixT<T>& MlpSnapshotT<T>::infer_columns(
   return *x;
 }
 
-// The two serve precisions. The double instantiation is pinned bitwise to
-// the nn::Matrix reference path; float is the reduced-precision backend.
+// The two precisions. Double serves every f64 forward, the library's and
+// the engines'; float is the reduced-precision serve backend.
 template void dense_forward_columns<float>(const MatrixT<float>&,
                                            const MatrixT<float>&,
                                            const MatrixT<float>&,
@@ -201,6 +196,11 @@ template void dense_forward_columns<double>(const MatrixT<double>&,
                                             const MatrixT<double>&,
                                             const MatrixT<double>&,
                                             MatrixT<double>&);
+template void activate_columns<float>(ActivationKind, const MatrixT<float>&,
+                                      MatrixT<float>&);
+template void activate_columns<double>(ActivationKind,
+                                       const MatrixT<double>&,
+                                       MatrixT<double>&);
 template struct ScalerStatsT<float>;
 template struct ScalerStatsT<double>;
 template class MlpSnapshotT<float>;

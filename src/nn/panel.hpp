@@ -1,87 +1,51 @@
 #pragma once
 /// \file panel.hpp
-/// Scalar-templated carriers for the serve-side inference path.
+/// The feature-major inference forward, templated on the scalar type.
 ///
-/// Training stays on nn::Matrix (double); these types carry the serve
-/// engines' feature-major panel path — the per-step hot path of
-/// RolloutEngine / FleetEngine — at double and at float, where the same
-/// register tiles pack twice the SIMD lanes. Weights and scaler stats are
-/// converted ONCE from a trained f64 model (MlpSnapshotT / ScalerStatsT),
-/// so serving never touches the trained network. Instantiated at double,
-/// every type here reproduces the nn::Matrix path bitwise
-/// (tests/nn/test_panel.cpp), which pins the template to the reference
-/// arithmetic.
+/// Every inference in the library runs the same two passes over
+/// (features x batch) panels: dense_forward_columns (the runtime-ISA
+/// kernel) and activate_columns (one elementwise pass). At double they
+/// serve Mlp::infer_columns over a net's live weights, and with it every
+/// f64 forward of TwoBranchNet and the baselines; at double and at float
+/// they serve MlpSnapshotT / ScalerStatsT, the weights and scaler stats
+/// the serve engines convert ONCE from a trained f64 model, so serving
+/// never touches the trained network. Training's Activation::forward runs
+/// the same activation pass. tests/nn/test_panel.cpp pins the snapshot at
+/// double bitwise to the net's own forward.
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "nn/activation.hpp"
-#include "nn/aligned.hpp"
 #include "nn/matrix.hpp"
 #include "nn/scaler.hpp"
+#include "nn/workspace.hpp"
 
 namespace socpinn::nn {
 
 class Mlp;
 
-/// Dense row-major matrix of T — the minimal carrier the templated serve
-/// path needs (element access, capacity-reusing resize, raw spans). Kept
-/// deliberately smaller than nn::Matrix: training-side algebra never runs
-/// at reduced precision.
-template <typename T>
-class MatrixT {
- public:
-  MatrixT() = default;
-  MatrixT(std::size_t rows, std::size_t cols, T fill = T(0))
-      : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-  [[nodiscard]] std::size_t rows() const { return rows_; }
-  [[nodiscard]] std::size_t cols() const { return cols_; }
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
-  [[nodiscard]] bool empty() const { return data_.empty(); }
-
-  /// Unchecked element access (hot path).
-  T& operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
-  T operator()(std::size_t r, std::size_t c) const {
-    return data_[r * cols_ + c];
-  }
-
-  /// Raw row-major storage.
-  [[nodiscard]] std::span<const T> data() const { return data_; }
-  [[nodiscard]] std::span<T> data() { return data_; }
-
-  /// Reshapes to rows x cols, reusing the existing allocation whenever the
-  /// new size fits the current capacity (element values are unspecified
-  /// afterwards — callers overwrite). Same contract as Matrix::resize: the
-  /// primitive that keeps workspace buffers allocation-free.
-  void resize(std::size_t rows, std::size_t cols) {
-    rows_ = rows;
-    cols_ = cols;
-    data_.resize(rows * cols);
-  }
-
-  void fill(T v) {
-    for (auto& x : data_) x = v;
-  }
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  /// 64-byte-aligned like nn::Matrix (see aligned.hpp).
-  AlignedVector<T> data_;
-};
-
-/// Feature-major dense forward over MatrixT panels: `activations` is
-/// (in_features x batch), `weights` (in x out) row-major, `bias_row`
-/// 1 x out; computes out = W^T * activations + bias (out_features x batch)
-/// through the shared scalar-templated kernel. At T = double this is
-/// bitwise identical to nn::dense_forward_columns. Same aliasing and
-/// allocation rules as the Matrix overload.
+/// Feature-major dense forward: `activations` is (in_features x batch),
+/// `weights` the usual (in x out) row-major layer matrix and `bias_row`
+/// 1 x out; computes out = W^T * activations + bias (out_features x batch).
+/// The batch axis is the long, unit-stride vectorization axis, which keeps
+/// throughput independent of the (tiny) layer widths. Per output element
+/// the accumulation order is bias first, then k ascending, unfused — the
+/// same order as the training forward's matmul + bias. `out` is resized
+/// with capacity reuse, so the steady state performs no heap allocation,
+/// and must not alias an input.
 template <typename T>
 void dense_forward_columns(const MatrixT<T>& activations,
                            const MatrixT<T>& weights,
                            const MatrixT<T>& bias_row, MatrixT<T>& out);
+
+/// out = act(in) elementwise, resizing out with capacity reuse; out must
+/// not alias in. Layout-agnostic, so training's row-major batches and the
+/// feature-major panels share it. The kind switch sits outside the element
+/// loops, and each formula is evaluated natively at T.
+template <typename T>
+void activate_columns(ActivationKind kind, const MatrixT<T>& in,
+                      MatrixT<T>& out);
 
 /// Zeroes columns [from_col, cols()) of a staged panel — the pad columns
 /// that round a thin batch up to the vectorized tile width. Per-column
@@ -113,26 +77,6 @@ struct ScalerStatsT {
   /// with moments f, written into out with capacity reuse. Same arithmetic
   /// shape as StandardScaler::transform_columns_into.
   void transform_columns_into(const MatrixT<T>& x, MatrixT<T>& out) const;
-};
-
-/// Preallocated activation panels for one MlpSnapshotT inference pass —
-/// the templated twin of ForwardWorkspace. One owner (typically one shard).
-template <typename T>
-class ForwardWorkspaceT {
- public:
-  void ensure(std::size_t n) {
-    if (n > buffers_.size()) buffers_.resize(n);
-  }
-
-  [[nodiscard]] MatrixT<T>& buffer(std::size_t i) {
-    ensure(i + 1);
-    return buffers_[i];
-  }
-
-  [[nodiscard]] std::size_t num_buffers() const { return buffers_.size(); }
-
- private:
-  std::vector<MatrixT<T>> buffers_;
 };
 
 /// Immutable inference-only snapshot of a trained Mlp at scalar type T:

@@ -9,13 +9,11 @@
 
 namespace socpinn::nn {
 
-/// Batch size from which the feature-major panel path (infer_columns /
-/// dense_forward_columns) beats the row-major kernels. Below it, staging
-/// overhead outweighs the gain and row-major (good at batch-of-1) wins.
-/// Both paths agree bitwise, so Mlp::infer dispatching on this is a pure
-/// perf choice. It is also the serve engines' pad width: they stage every
-/// panel feature-major and zero-pad thin batches up to this many columns.
-/// The accepted cost is that batch-of-1 callers (core::rollout_cascade /
+/// Pad width of the serve engines: they stage every panel feature-major
+/// and zero-pad a batch thinner than this up to it, so a thin shard or
+/// tail still runs whole register tiles. Per-column results are
+/// independent, so padding never changes a real column. The accepted
+/// cost is that batch-of-1 callers (core::rollout_cascade /
 /// rollout_closed_loop) and fleets with fewer than this many cells per
 /// shard compute a full padded panel per step.
 inline constexpr std::size_t kColumnsMinBatch = 32;

@@ -2,15 +2,14 @@
 /// \file panel_kernels.hpp
 /// Scalar-templated feature-major dense kernel — the portable fallback and
 /// the parity REFERENCE of the runtime-ISA dispatch (nn/panel_dispatch.hpp)
-/// behind the f64 serving path (nn::dense_forward_columns over nn::Matrix)
-/// and the reduced-precision serve backend (nn::MatrixT<float>). The
-/// template defines the panel arithmetic: per element, bias first then
-/// ascending-k unfused multiply-adds (the library compiles with
+/// behind nn::dense_forward_columns<T>: at double every f64 inference of
+/// the library and the serve engines, at float the reduced-precision serve
+/// backend. The template defines the panel arithmetic: per element, bias
+/// first then ascending-k unfused multiply-adds (the library compiles with
 /// -ffp-contract=off), and every explicit SIMD instantiation
 /// (panel_kernels_simd.hpp) reproduces exactly that sequence lane-by-lane
-/// — bitwise at f64 on every host. Instantiated at double it is the exact
-/// kernel that lived in matrix.cpp (same tile shapes, same accumulation
-/// order); at float the same tiles pack twice the SIMD lanes per register.
+/// — bitwise at f64 on every host. At float the same tiles pack twice the
+/// SIMD lanes per register.
 
 #include <cstddef>
 
@@ -89,14 +88,19 @@ SOCPINN_HOT __attribute__((noinline, noclone)) void dense_columns_kernel(
       }
     }
   }
-  // Remainder columns, one at a time.
+  // Remainder columns, one at a time: the bias, then one axpy over the
+  // outputs per ascending k — per element the tiles' order. The out_f
+  // updates of one k are independent (contiguous at batch 1), so a
+  // batch-of-1 forward vectorizes over the outputs rather than running a
+  // latency-bound dot product per output.
   for (; jt < batch; ++jt) {
-    for (std::size_t of = 0; of < out_f; ++of) {
-      T acc = bias[of];
-      for (std::size_t k = 0; k < in_f; ++k) {
-        acc += w[k * out_f + of] * a[k * batch + jt];
+    for (std::size_t of = 0; of < out_f; ++of) out[of * batch + jt] = bias[of];
+    for (std::size_t k = 0; k < in_f; ++k) {
+      const T ak = a[k * batch + jt];
+      const T* __restrict w_row = w + k * out_f;
+      for (std::size_t of = 0; of < out_f; ++of) {
+        out[of * batch + jt] += w_row[of] * ak;
       }
-      out[of * batch + jt] = acc;
     }
   }
 }

@@ -103,14 +103,18 @@ SOCPINN_HOT void dense_columns_kernel_vec(const typename V::Scalar* __restrict a
                                       of, jt);
     }
   }
-  // Remainder columns, one at a time — the scalar template's exact tail.
+  // Remainder columns, one at a time — the scalar template's exact tail
+  // (bias, then one axpy over the outputs per ascending k). A copy rather
+  // than a shared inline template: the same symbol in every per-ISA TU
+  // would be folded by the linker into one ISA's code.
   for (; jt < batch; ++jt) {
-    for (std::size_t of = 0; of < out_f; ++of) {
-      T acc = bias[of];
-      for (std::size_t k = 0; k < in_f; ++k) {
-        acc += w[k * out_f + of] * a[k * batch + jt];
+    for (std::size_t of = 0; of < out_f; ++of) out[of * batch + jt] = bias[of];
+    for (std::size_t k = 0; k < in_f; ++k) {
+      const T ak = a[k * batch + jt];
+      const T* __restrict w_row = w + k * out_f;
+      for (std::size_t of = 0; of < out_f; ++of) {
+        out[of * batch + jt] += w_row[of] * ak;
       }
-      out[of * batch + jt] = acc;
     }
   }
 }

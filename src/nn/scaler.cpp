@@ -9,6 +9,11 @@ void StandardScaler::fit(const Matrix& x) {
   if (x.rows() == 0 || x.cols() == 0) {
     throw std::invalid_argument("StandardScaler::fit: empty matrix");
   }
+  for (const double v : x.data()) {
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument("StandardScaler::fit: non-finite sample");
+    }
+  }
   const auto n = static_cast<double>(x.rows());
   means_.assign(x.cols(), 0.0);
   stds_.assign(x.cols(), 0.0);
@@ -47,19 +52,6 @@ Matrix StandardScaler::transform(const Matrix& x) const {
     }
   }
   return out;
-}
-
-void StandardScaler::transform_into(const Matrix& x, Matrix& out) const {
-  if (!fitted()) throw std::logic_error("StandardScaler: not fitted");
-  if (x.cols() != means_.size()) {
-    throw std::invalid_argument("StandardScaler::transform_into: width");
-  }
-  out.resize(x.rows(), x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      out(r, c) = (x(r, c) - means_[c]) / stds_[c];
-    }
-  }
 }
 
 void StandardScaler::transform_columns_into(const Matrix& x,

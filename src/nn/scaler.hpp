@@ -16,7 +16,10 @@ class StandardScaler {
   StandardScaler() = default;
 
   /// Fits means and stds on the columns of x. Columns with zero variance
-  /// get std 1 so constant features pass through shifted only.
+  /// get std 1 so constant features pass through shifted only. Throws
+  /// std::invalid_argument, leaving the scaler as it was, on an empty x or
+  /// a non-finite sample: one NaN or Inf would poison every moment of its
+  /// column and, through them, every forward.
   void fit(const Matrix& x);
 
   /// Whether fit() (or from_moments) was called.
@@ -25,14 +28,11 @@ class StandardScaler {
   /// Transforms a batch; throws if not fitted or width mismatches.
   [[nodiscard]] Matrix transform(const Matrix& x) const;
 
-  /// Standardizes x into out, resizing it with capacity reuse — no heap
-  /// allocation in the steady state. out must not alias x.
-  void transform_into(const Matrix& x, Matrix& out) const;
-
   /// Feature-major variant: x is a transposed batch (features x batch),
-  /// row f standardized with moments f. Same per-element arithmetic as
-  /// transform_into, so both layouts agree bitwise. Same aliasing and
-  /// allocation rules.
+  /// row f standardized with moments f, written into out with capacity
+  /// reuse — no heap allocation in the steady state. Same per-element
+  /// arithmetic as transform(), so both layouts agree bitwise. out must
+  /// not alias x.
   void transform_columns_into(const Matrix& x, Matrix& out) const;
 
   /// Transforms a single row in place.

@@ -1,5 +1,6 @@
 #include "nn/serialize.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <istream>
@@ -31,6 +32,13 @@ Matrix read_matrix(std::istream& in) {
   std::size_t rows = 0, cols = 0;
   if (!(in >> rows >> cols)) {
     throw std::runtime_error("load_mlp: bad matrix header");
+  }
+  // Checked before the allocation: a wrapped rows * cols would size the
+  // buffer smaller than the read loop below writes.
+  if (rows == 0 || cols == 0 || rows > SIZE_MAX / cols) {
+    throw std::runtime_error("load_mlp: bad matrix dimensions " +
+                             std::to_string(rows) + " x " +
+                             std::to_string(cols));
   }
   Matrix m(rows, cols);
   for (std::size_t r = 0; r < rows; ++r) {

@@ -2,11 +2,11 @@
 /// \file workspace.hpp
 /// Preallocated activation buffers for allocation-free inference.
 ///
-/// Every buffer is grown on first use and then reused: Matrix::resize keeps
-/// capacity, so after a warm-up forward at a given batch size the inference
-/// path performs zero heap allocations. A workspace is owned by exactly one
-/// caller (typically one thread); the networks themselves stay const and
-/// shareable.
+/// Every buffer is grown on first use and then reused: MatrixT::resize
+/// keeps capacity, so after a warm-up forward at a given batch size the
+/// inference path performs zero heap allocations. A workspace is owned by
+/// exactly one caller (typically one thread or one shard); the networks
+/// and snapshots themselves stay const and shareable.
 
 #include <vector>
 
@@ -14,9 +14,10 @@
 
 namespace socpinn::nn {
 
-/// Scratch buffers for one Mlp inference pass: one activation matrix per
-/// layer.
-class ForwardWorkspace {
+/// Scratch buffers for one inference pass (Mlp::infer_columns or
+/// MlpSnapshotT<T>::infer_columns): one activation panel per layer.
+template <typename T>
+class ForwardWorkspaceT {
  public:
   /// Grows the buffer list to at least n entries. Call before holding
   /// references from buffer(): growing the list reallocates it and would
@@ -26,7 +27,7 @@ class ForwardWorkspace {
   }
 
   /// The i-th layer-output buffer, created empty on first access.
-  [[nodiscard]] Matrix& buffer(std::size_t i) {
+  [[nodiscard]] MatrixT<T>& buffer(std::size_t i) {
     ensure(i + 1);
     return buffers_[i];
   }
@@ -34,7 +35,10 @@ class ForwardWorkspace {
   [[nodiscard]] std::size_t num_buffers() const { return buffers_.size(); }
 
  private:
-  std::vector<Matrix> buffers_;
+  std::vector<MatrixT<T>> buffers_;
 };
+
+/// The f64 workspace of Mlp::infer / Mlp::infer_columns.
+using ForwardWorkspace = ForwardWorkspaceT<double>;
 
 }  // namespace socpinn::nn

@@ -57,8 +57,8 @@ TEST(BatchedParity, PredictBatchMatchesScalarLoop) {
 
 TEST(BatchedParity, PredictBatchColumnsMatchesRowMajorBitwise) {
   // The feature-major seam of the per-step rollout/serving hot loops:
-  // staging the batch transposed must not change a single ulp, at panel
-  // sizes on both sides of the Mlp dispatch threshold.
+  // staging the batch transposed must not change a single ulp, at batch
+  // sizes on both sides of the engines' pad width and the kernel's tile.
   TwoBranchNet net = make_fitted_net(7);
   util::Rng rng(19);
   for (const std::size_t n :
@@ -122,8 +122,20 @@ TEST(BatchedParity, WorkspacePathMatchesLegacyAllocatingPath) {
   EXPECT_TRUE(ws_pred == net.predict_batch(inputs));
   const nn::Matrix train_path =
       net.branch1().forward(net.scaler1().transform(sensors), false);
+  const nn::Matrix train_pred =
+      net.branch2().forward(net.scaler2().transform(inputs), false);
+  // The training forward (matmul, then the bias) is the one independent
+  // arithmetic under the f64 inference path: hold the batched and the
+  // scalar calls of both branches to it.
   for (std::size_t r = 0; r < sensors.rows(); ++r) {
     EXPECT_NEAR(ws_est(r, 0), train_path(r, 0), kTol);
+    EXPECT_NEAR(ws_pred(r, 0), train_pred(r, 0), kTol);
+    EXPECT_NEAR(net.estimate_soc(sensors(r, 0), sensors(r, 1), sensors(r, 2),
+                                 ws),
+                train_path(r, 0), kTol);
+    EXPECT_NEAR(net.predict_soc(inputs(r, 0), inputs(r, 1), inputs(r, 2),
+                                inputs(r, 3), ws),
+                train_pred(r, 0), kTol);
   }
 }
 

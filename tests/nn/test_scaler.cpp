@@ -111,8 +111,7 @@ TEST(StandardScaler, SubUnitConstantColumnUsesUnitScale) {
   EXPECT_DOUBLE_EQ(scaler.stds()[0], 1.0);
   // All transform layouts route through the same fallback moments.
   Matrix rowm(1, 1, 1.25);
-  Matrix out;
-  scaler.transform_into(rowm, out);
+  Matrix out = scaler.transform(rowm);
   EXPECT_DOUBLE_EQ(out(0, 0), 1.0);
   Matrix cols(1, 1, 1.25);
   scaler.transform_columns_into(cols, out);
@@ -169,6 +168,20 @@ TEST(StandardScaler, FromMomentsValidates) {
 TEST(StandardScaler, FitRejectsEmpty) {
   StandardScaler scaler;
   EXPECT_THROW(scaler.fit(Matrix()), std::invalid_argument);
+}
+
+TEST(StandardScaler, FitRejectsNonFiniteSamples) {
+  // One NaN or Inf sample would make its column's moments NaN: every
+  // forward would then return NaN and the scaler would not save loadably.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Matrix x(4, 2, 1.0);
+    x(2, 1) = bad;
+    StandardScaler scaler;
+    EXPECT_THROW(scaler.fit(x), std::invalid_argument) << bad;
+    EXPECT_FALSE(scaler.fitted()) << bad;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -54,6 +55,20 @@ TEST(SerializeMlp, RejectsTruncatedStream) {
   const std::string full = stream.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_THROW((void)load_mlp(truncated), std::runtime_error);
+}
+
+TEST(SerializeMlp, RejectsMatrixDimensionsBeforeAllocating) {
+  // rows * cols wraps to 2 here: a buffer sized from the product would be
+  // overrun by the read loop long before the data runs out.
+  std::string overflow = "socpinn-mlp 1\n1\ndense\n9223372036854775809 2\n";
+  for (int i = 0; i < 20000; ++i) overflow += "0.5 ";
+  std::stringstream wrapped(overflow);
+  EXPECT_THROW((void)load_mlp(wrapped), std::runtime_error);
+
+  // A zero dimension is malformed too, and fails as a load error rather
+  // than from the Dense constructor.
+  std::stringstream zero("socpinn-mlp 1\n1\ndense\n0 4\n1 4\n0 0 0 0\n");
+  EXPECT_THROW((void)load_mlp(zero), std::runtime_error);
 }
 
 TEST(SerializeScaler, RoundTrips) {
