@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/math.hpp"
 
@@ -52,6 +53,13 @@ double estimate_soh_from_discharge(const data::Trace& trace,
   for (std::size_t i = 1; i < trace.size(); ++i) {
     const double dt = trace[i].time_s - trace[i - 1].time_s;
     const double avg = 0.5 * (trace[i - 1].current + trace[i].current);
+    // A NaN time poisons the throughput, and util::clamp passes NaN
+    // through; a NaN current would fail `avg < 0.0` and drop its step.
+    if (!(std::isfinite(dt) && std::isfinite(avg))) {
+      throw std::invalid_argument(
+          "estimate_soh_from_discharge: non-finite time or current at "
+          "sample " + std::to_string(i));
+    }
     if (avg < 0.0) throughput_as += -avg * dt;
   }
   const double measured_capacity_ah = throughput_as / 3600.0 / swing;
@@ -59,6 +67,11 @@ double estimate_soh_from_discharge(const data::Trace& trace,
 }
 
 std::size_t SohEnsemble::select_index(double soh) const {
+  // Every distance to a NaN compares false, so the loop below would route
+  // NaN (and both infinities, which tie at every level) to member 0.
+  if (!std::isfinite(soh)) {
+    throw std::invalid_argument("SohEnsemble: SoH query must be finite");
+  }
   std::size_t best = 0;
   double best_dist = std::fabs(config_.soh_levels[0] - soh);
   for (std::size_t i = 1; i < config_.soh_levels.size(); ++i) {

@@ -30,7 +30,8 @@ namespace socpinn::core {
 /// Estimates SoH from a recorded *full* discharge trace: integrated
 /// discharge throughput divided by the rated capacity, normalized by the
 /// SoC swing actually covered. Throws if the trace covers less than half
-/// of the SoC range (not a full discharge).
+/// of the SoC range (not a full discharge) or has a non-finite time or
+/// current.
 [[nodiscard]] double estimate_soh_from_discharge(
     const data::Trace& trace, double rated_capacity_ah);
 
@@ -58,7 +59,8 @@ class SohEnsemble {
     }
   }
 
-  /// The member whose SoH level is closest to the query.
+  /// The member whose SoH level is closest to the query; a non-finite
+  /// query throws std::invalid_argument (so does select_index).
   [[nodiscard]] TwoBranchNet& select(double soh);
 
   /// Index of the routed member (exposed for tests/diagnostics).

@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "nn/dense.hpp"
 #include "nn/mlp.hpp"
@@ -69,10 +70,16 @@ SOCPINN_HOT void dense_forward_columns(const MatrixT<T>& activations,
   // explicit AVX-512/AVX2/NEON or the scalar template — is bitwise
   // identical to the scalar reference at f64, so dispatch changes
   // throughput, never results.
-  simd::dense_columns<T>(activations.data().data(), weights.data().data(),
-                         bias_row.data().data(), out.data().data(),
-                         weights.rows(), weights.cols(),
-                         activations.cols());
+  const simd::PanelKernels& kernels = simd::active_panel_kernels();
+  simd::DenseColumnsFn<T> kernel = nullptr;
+  if constexpr (std::is_same_v<T, float>) {
+    kernel = kernels.f32;
+  } else {
+    kernel = kernels.f64;
+  }
+  kernel(activations.data().data(), weights.data().data(),
+         bias_row.data().data(), out.data().data(), weights.rows(),
+         weights.cols(), activations.cols());
 }
 
 template <typename T>

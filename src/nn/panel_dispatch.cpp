@@ -1,113 +1,96 @@
 #include "nn/panel_dispatch.hpp"
 
 #include <cstdlib>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
 namespace socpinn::nn::detail {
 
-// Per-ISA kernel entry points. The scalar pair always exists
-// (panel_kernels_scalar.cpp); the others are compiled into the binary iff
-// the matching SOCPINN_ENABLE_* definition was set by CMake for this
-// architecture, and must only be CALLED after a runtime CPU check.
-void dense_columns_scalar_f32(const float*, const float*, const float*,
-                              float*, std::size_t, std::size_t, std::size_t);
-void dense_columns_scalar_f64(const double*, const double*, const double*,
-                              double*, std::size_t, std::size_t, std::size_t);
-#if defined(SOCPINN_ENABLE_AVX2)
-void dense_columns_avx2_f32(const float*, const float*, const float*, float*,
-                            std::size_t, std::size_t, std::size_t);
-void dense_columns_avx2_f64(const double*, const double*, const double*,
-                            double*, std::size_t, std::size_t, std::size_t);
-#endif
-#if defined(SOCPINN_ENABLE_AVX512)
-void dense_columns_avx512_f32(const float*, const float*, const float*,
-                              float*, std::size_t, std::size_t, std::size_t);
-void dense_columns_avx512_f64(const double*, const double*, const double*,
-                              double*, std::size_t, std::size_t, std::size_t);
-#endif
-#if defined(SOCPINN_ENABLE_NEON)
-void dense_columns_neon_f32(const float*, const float*, const float*, float*,
-                            std::size_t, std::size_t, std::size_t);
-void dense_columns_neon_f64(const double*, const double*, const double*,
-                            double*, std::size_t, std::size_t, std::size_t);
-#endif
+// Each kernel TU exports its ISA's row (panel_kernels_<isa>.cpp). The
+// optional rows are defined only when CMake set the matching
+// SOCPINN_ENABLE_* for this architecture, so only kIsas names them, under
+// the same #if.
+extern const simd::PanelKernels kScalarKernels;
+extern const simd::PanelKernels kAvx2Kernels;
+extern const simd::PanelKernels kAvx512Kernels;
+extern const simd::PanelKernels kNeonKernels;
 
 }  // namespace socpinn::nn::detail
 
 namespace socpinn::nn::simd {
 
+namespace {
+
+/// One ISA: its SOCPINN_FORCE_ISA name, its kernel row (nullptr when this
+/// binary was built without it) and whether the host CPU can execute it
+/// (called only when the row exists).
+struct IsaRow {
+  const char* name;
+  const PanelKernels* kernels;
+  bool (*host_runs)();
+};
+
+bool always() { return true; }
+
+// In Isa order. __builtin_cpu_supports folds in the OS XSAVE state for AVX.
+constexpr IsaRow kIsas[] = {
+    {"scalar", &detail::kScalarKernels, always},
+#if defined(SOCPINN_ENABLE_AVX2)
+    {"avx2", &detail::kAvx2Kernels,
+     [] { return __builtin_cpu_supports("avx2") != 0; }},
+#else
+    {"avx2", nullptr, nullptr},
+#endif
+#if defined(SOCPINN_ENABLE_AVX512)
+    {"avx512", &detail::kAvx512Kernels,
+     [] { return __builtin_cpu_supports("avx512f") != 0; }},
+#else
+    {"avx512", nullptr, nullptr},
+#endif
+#if defined(SOCPINN_ENABLE_NEON)
+    // AdvSIMD is part of the aarch64 base architecture: compiled implies
+    // executable.
+    {"neon", &detail::kNeonKernels, always},
+#else
+    {"neon", nullptr, nullptr},
+#endif
+};
+static_assert(std::size(kIsas) == kNumIsas, "one kIsas row per Isa");
+
+/// `isa`'s row, or nullptr for a value outside the enum.
+const IsaRow* find_row(Isa isa) {
+  const int i = static_cast<int>(isa);
+  return i >= 0 && i < kNumIsas ? &kIsas[i] : nullptr;
+}
+
+}  // namespace
+
 const char* isa_name(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar: return "scalar";
-    case Isa::kAvx2: return "avx2";
-    case Isa::kAvx512: return "avx512";
-    case Isa::kNeon: return "neon";
+  const IsaRow* row = find_row(isa);
+  if (row == nullptr) {
+    throw std::invalid_argument("isa_name: unknown Isa value");
   }
-  throw std::invalid_argument("isa_name: unknown Isa value");
+  return row->name;
 }
 
 Isa parse_isa(const char* name) {
   const std::string s(name == nullptr ? "" : name);
-  if (s == "scalar") return Isa::kScalar;
-  if (s == "avx2") return Isa::kAvx2;
-  if (s == "avx512") return Isa::kAvx512;
-  if (s == "neon") return Isa::kNeon;
+  for (int i = 0; i < kNumIsas; ++i) {
+    if (s == kIsas[i].name) return static_cast<Isa>(i);
+  }
   throw std::invalid_argument(
       "SOCPINN_FORCE_ISA: unknown ISA '" + s +
       "' (expected scalar, avx2, avx512, or neon)");
 }
 
 bool isa_compiled(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return true;
-    case Isa::kAvx2:
-#if defined(SOCPINN_ENABLE_AVX2)
-      return true;
-#else
-      return false;
-#endif
-    case Isa::kAvx512:
-#if defined(SOCPINN_ENABLE_AVX512)
-      return true;
-#else
-      return false;
-#endif
-    case Isa::kNeon:
-#if defined(SOCPINN_ENABLE_NEON)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
+  const IsaRow* row = find_row(isa);
+  return row != nullptr && row->kernels != nullptr;
 }
 
 bool isa_supported(Isa isa) {
-  if (!isa_compiled(isa)) return false;
-  switch (isa) {
-    case Isa::kScalar:
-      return true;
-    case Isa::kAvx2:
-#if defined(__x86_64__) || defined(__i386__)
-      // __builtin_cpu_supports folds in the OS XSAVE state for AVX.
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case Isa::kAvx512:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx512f") != 0;
-#else
-      return false;
-#endif
-    case Isa::kNeon:
-      // NEON kernels are only compiled on aarch64, where AdvSIMD is part
-      // of the base architecture — compiled implies executable.
-      return true;
-  }
-  return false;
+  return isa_compiled(isa) && find_row(isa)->host_runs();
 }
 
 Isa resolve_isa(const char* force) {
@@ -134,49 +117,12 @@ Isa active_isa() {
 }
 
 const PanelKernels& panel_kernels(Isa isa) {
-  static constexpr PanelKernels kScalarKernels = {
-      &detail::dense_columns_scalar_f32, &detail::dense_columns_scalar_f64};
-#if defined(SOCPINN_ENABLE_AVX2)
-  static constexpr PanelKernels kAvx2Kernels = {
-      &detail::dense_columns_avx2_f32, &detail::dense_columns_avx2_f64};
-#endif
-#if defined(SOCPINN_ENABLE_AVX512)
-  static constexpr PanelKernels kAvx512Kernels = {
-      &detail::dense_columns_avx512_f32, &detail::dense_columns_avx512_f64};
-#endif
-#if defined(SOCPINN_ENABLE_NEON)
-  static constexpr PanelKernels kNeonKernels = {
-      &detail::dense_columns_neon_f32, &detail::dense_columns_neon_f64};
-#endif
   if (!isa_supported(isa)) {
     throw std::invalid_argument(std::string("panel_kernels: ISA '") +
                                 isa_name(isa) +
                                 "' is not supported on this binary/host");
   }
-  switch (isa) {
-    case Isa::kScalar:
-      return kScalarKernels;
-    case Isa::kAvx2:
-#if defined(SOCPINN_ENABLE_AVX2)
-      return kAvx2Kernels;
-#else
-      break;
-#endif
-    case Isa::kAvx512:
-#if defined(SOCPINN_ENABLE_AVX512)
-      return kAvx512Kernels;
-#else
-      break;
-#endif
-    case Isa::kNeon:
-#if defined(SOCPINN_ENABLE_NEON)
-      return kNeonKernels;
-#else
-      break;
-#endif
-  }
-  // Unreachable: isa_supported(isa) implies the matching table exists.
-  throw std::logic_error("panel_kernels: supported ISA without a table");
+  return *find_row(isa)->kernels;
 }
 
 const PanelKernels& active_panel_kernels() {

@@ -22,9 +22,14 @@
 ///     mul_add contract), so dispatch NEVER changes results — only
 ///     throughput. Engines stay bitwise thread-count- and ISA-invariant.
 ///
-/// Callers on the hot path use dense_columns<T>() below; everything else
-/// (tests, benches, the engines' config surface) can enumerate ISAs,
-/// query support, and fetch a specific ISA's kernel table.
+/// The ISA set is one table: each kernel TU exports its PanelKernels row
+/// and panel_dispatch.cpp holds one row per Isa, so a new ISA is one TU,
+/// one row and its CMake flags. The hot path, nn::dense_forward_columns<T>
+/// (nn/panel.cpp), calls its precision's member of active_panel_kernels();
+/// everything else (tests, benches, the engines' config surface) can
+/// enumerate ISAs, query support, and fetch a specific ISA's row. The
+/// per-ISA TUs include this header, so it defines no inline functions:
+/// COMDAT folding would let one ISA's copy serve every TU.
 
 #include <cstddef>
 
@@ -65,48 +70,24 @@ inline constexpr int kNumIsas = 4;
 /// it surfaces on the caller's thread, not inside a worker.
 [[nodiscard]] Isa active_isa();
 
-using DenseColumnsF32Fn = void (*)(const float*, const float*, const float*,
-                                   float*, std::size_t, std::size_t,
-                                   std::size_t);
-using DenseColumnsF64Fn = void (*)(const double*, const double*,
-                                   const double*, double*, std::size_t,
-                                   std::size_t, std::size_t);
+/// Raw-pointer dense panel kernel (out = W^T * a + bias, `a` in_f x batch
+/// with batch unit-stride); same contract as detail::dense_columns_kernel.
+template <typename T>
+using DenseColumnsFn = void (*)(const T* a, const T* w, const T* bias,
+                                T* out, std::size_t in_f, std::size_t out_f,
+                                std::size_t batch);
 
 /// One ISA's kernel instantiations, both serve precisions.
 struct PanelKernels {
-  DenseColumnsF32Fn f32;
-  DenseColumnsF64Fn f64;
+  DenseColumnsFn<float> f32;
+  DenseColumnsFn<double> f64;
 };
 
-/// `isa`'s kernel table; throws std::invalid_argument when the ISA is not
+/// `isa`'s kernel row; throws std::invalid_argument when the ISA is not
 /// supported on this binary + host (use isa_supported to probe first).
 [[nodiscard]] const PanelKernels& panel_kernels(Isa isa);
 
 /// panel_kernels(active_isa()), resolved once.
 [[nodiscard]] const PanelKernels& active_panel_kernels();
-
-namespace internal {
-template <typename T>
-struct KernelPick;
-template <>
-struct KernelPick<float> {
-  static DenseColumnsF32Fn get(const PanelKernels& k) { return k.f32; }
-};
-template <>
-struct KernelPick<double> {
-  static DenseColumnsF64Fn get(const PanelKernels& k) { return k.f64; }
-};
-}  // namespace internal
-
-/// The hot-path entry: feature-major dense panel (out = W^T * a + bias,
-/// `a` in_f x batch with batch unit-stride) through the resolved kernel.
-/// Same raw-pointer contract as detail::dense_columns_kernel.
-template <typename T>
-inline void dense_columns(const T* a, const T* w, const T* bias, T* out,
-                          std::size_t in_f, std::size_t out_f,
-                          std::size_t batch) {
-  internal::KernelPick<T>::get(active_panel_kernels())(a, w, bias, out, in_f,
-                                                       out_f, batch);
-}
 
 }  // namespace socpinn::nn::simd

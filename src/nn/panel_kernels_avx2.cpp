@@ -1,30 +1,22 @@
 /// \file panel_kernels_avx2.cpp
-/// AVX2 instantiation of the vectorized panel kernel. This TU (and only
-/// this TU) is compiled with -mavx2 on x86 — the rest of the library stays
-/// at the build's baseline ISA — so the functions here must only be
-/// reached through the runtime dispatcher after a cpuid check
-/// (nn/panel_dispatch.cpp). Guarded by SOCPINN_ENABLE_AVX2 so the file is
-/// an empty TU on other architectures.
+/// AVX2 instantiation of the vectorized panel kernel, exported as the
+/// dispatcher's "avx2" row. This TU (and only this TU) is compiled with
+/// -mavx2 on x86 — the rest of the library stays at the build's baseline
+/// ISA — so the row's kernels must only be reached through the runtime
+/// dispatcher after a cpuid check (nn/panel_dispatch.cpp). Guarded by
+/// SOCPINN_ENABLE_AVX2 so the file is an empty TU on other architectures.
 
 #if defined(SOCPINN_ENABLE_AVX2)
 
+#include "nn/panel_dispatch.hpp"
 #include "nn/panel_kernels_simd.hpp"
 
 namespace socpinn::nn::detail {
 
-void dense_columns_avx2_f32(const float* a, const float* w, const float* bias,
-                            float* out, std::size_t in_f, std::size_t out_f,
-                            std::size_t batch) {
-  dense_columns_kernel_vec<simd::Vec<float, 8>>(a, w, bias, out, in_f, out_f,
-                                                batch);
-}
-
-void dense_columns_avx2_f64(const double* a, const double* w,
-                            const double* bias, double* out, std::size_t in_f,
-                            std::size_t out_f, std::size_t batch) {
-  dense_columns_kernel_vec<simd::Vec<double, 4>>(a, w, bias, out, in_f,
-                                                 out_f, batch);
-}
+// `extern`: a namespace-scope const has internal linkage otherwise.
+extern const simd::PanelKernels kAvx2Kernels = {
+    &dense_columns_kernel_vec<simd::Vec<float, 8>>,
+    &dense_columns_kernel_vec<simd::Vec<double, 4>>};
 
 }  // namespace socpinn::nn::detail
 

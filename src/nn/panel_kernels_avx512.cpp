@@ -1,29 +1,21 @@
 /// \file panel_kernels_avx512.cpp
-/// AVX-512F instantiation of the vectorized panel kernel — compiled with
-/// -mavx512f on x86 (this TU only; see panel_kernels_avx2.cpp for the
-/// dispatch/isolation rules). The 4x4 zmm accumulator tile covers 64 f32 /
-/// 32 f64 batch columns per pass, the scalar template's exact tile widths.
+/// AVX-512F instantiation of the vectorized panel kernel, exported as the
+/// dispatcher's "avx512" row — compiled with -mavx512f on x86 (this TU
+/// only; see panel_kernels_avx2.cpp for the dispatch/isolation rules). The
+/// 4x4 zmm accumulator tile covers 64 f32 / 32 f64 batch columns per pass,
+/// the scalar template's exact tile widths.
 
 #if defined(SOCPINN_ENABLE_AVX512)
 
+#include "nn/panel_dispatch.hpp"
 #include "nn/panel_kernels_simd.hpp"
 
 namespace socpinn::nn::detail {
 
-void dense_columns_avx512_f32(const float* a, const float* w,
-                              const float* bias, float* out, std::size_t in_f,
-                              std::size_t out_f, std::size_t batch) {
-  dense_columns_kernel_vec<simd::Vec<float, 16>>(a, w, bias, out, in_f,
-                                                 out_f, batch);
-}
-
-void dense_columns_avx512_f64(const double* a, const double* w,
-                              const double* bias, double* out,
-                              std::size_t in_f, std::size_t out_f,
-                              std::size_t batch) {
-  dense_columns_kernel_vec<simd::Vec<double, 8>>(a, w, bias, out, in_f,
-                                                 out_f, batch);
-}
+// `extern`: a namespace-scope const has internal linkage otherwise.
+extern const simd::PanelKernels kAvx512Kernels = {
+    &dense_columns_kernel_vec<simd::Vec<float, 16>>,
+    &dense_columns_kernel_vec<simd::Vec<double, 8>>};
 
 }  // namespace socpinn::nn::detail
 

@@ -1,31 +1,24 @@
 /// \file panel_kernels_neon.cpp
-/// NEON (aarch64 AdvSIMD) instantiation of the vectorized panel kernel.
-/// AdvSIMD is part of the aarch64 base architecture, so no per-file flags
-/// are needed — SOCPINN_ENABLE_NEON is simply defined when CMake targets
-/// aarch64, and compiled implies executable (the dispatcher still routes
-/// through the same table as the x86 ISAs). The unfused mul_add contract
-/// of simd.hpp applies here too: no vmlaq/vfmaq, so f64 results stay
-/// bitwise identical to the scalar reference.
+/// NEON (aarch64 AdvSIMD) instantiation of the vectorized panel kernel,
+/// exported as the dispatcher's "neon" row. AdvSIMD is part of the aarch64
+/// base architecture, so no per-file flags are needed —
+/// SOCPINN_ENABLE_NEON is simply defined when CMake targets aarch64, and
+/// compiled implies executable (the dispatcher still routes through the
+/// same table as the x86 ISAs). The unfused mul_add contract of simd.hpp
+/// applies here too: no vmlaq/vfmaq, so f64 results stay bitwise
+/// identical to the scalar reference.
 
 #if defined(SOCPINN_ENABLE_NEON)
 
+#include "nn/panel_dispatch.hpp"
 #include "nn/panel_kernels_simd.hpp"
 
 namespace socpinn::nn::detail {
 
-void dense_columns_neon_f32(const float* a, const float* w, const float* bias,
-                            float* out, std::size_t in_f, std::size_t out_f,
-                            std::size_t batch) {
-  dense_columns_kernel_vec<simd::Vec<float, 4>>(a, w, bias, out, in_f, out_f,
-                                                batch);
-}
-
-void dense_columns_neon_f64(const double* a, const double* w,
-                            const double* bias, double* out, std::size_t in_f,
-                            std::size_t out_f, std::size_t batch) {
-  dense_columns_kernel_vec<simd::Vec<double, 2>>(a, w, bias, out, in_f,
-                                                 out_f, batch);
-}
+// `extern`: a namespace-scope const has internal linkage otherwise.
+extern const simd::PanelKernels kNeonKernels = {
+    &dense_columns_kernel_vec<simd::Vec<float, 4>>,
+    &dense_columns_kernel_vec<simd::Vec<double, 2>>};
 
 }  // namespace socpinn::nn::detail
 

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -29,6 +30,14 @@ namespace {
 void nap() {
   timespec ts{0, 100'000};
   ::nanosleep(&ts, nullptr);
+}
+
+/// Whether worker `pid` has exited. A worker reaped elsewhere (SIGCHLD
+/// ignored, or another thread's waitpid(-1)) leaves waitpid failing with
+/// ECHILD on every call, so that counts as exited too.
+bool worker_exited(pid_t pid) {
+  const pid_t r = ::waitpid(pid, nullptr, WNOHANG);
+  return r == pid || (r < 0 && errno == ECHILD);
 }
 
 /// The transport ships the model as core::save_model text, which needs a
@@ -153,7 +162,7 @@ ShardedFleet::~ShardedFleet() {
     // Workers _exit right after acking kStop; allow a generous beat for a
     // worker mid-tick to finish, then stop waiting politely.
     for (int beat = 0; beat < 20000 && !w.reaped; ++beat) {
-      if (::waitpid(w.pid, nullptr, WNOHANG) == w.pid) w.reaped = true;
+      if (worker_exited(w.pid)) w.reaped = true;
       if (!w.reaped) nap();
     }
     if (!w.reaped) {
@@ -175,8 +184,7 @@ void ShardedFleet::wait_ack(Worker& w) {
   const std::atomic_ref<std::uint64_t> ack(w.header->ack_seq);
   std::size_t beats = 0;
   while (ack.load(std::memory_order_acquire) != w.seq) {
-    if (++beats % 64 == 0 &&
-        ::waitpid(w.pid, nullptr, WNOHANG) == w.pid) {
+    if (++beats % 64 == 0 && worker_exited(w.pid)) {
       w.reaped = true;
       throw std::runtime_error("ShardedFleet: worker " +
                                std::to_string(w.shard.index) +

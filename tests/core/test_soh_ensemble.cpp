@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "data/protocol.hpp"
 #include "nn/metrics.hpp"
@@ -130,6 +132,23 @@ TEST(SohEstimator, RecoversTrueSohFromFullDischarge) {
   }
 }
 
+TEST(SohEstimator, RejectsNonFiniteSamples) {
+  // A NaN timestamp made the integrated throughput NaN, and util::clamp
+  // passed it through as the SoH estimate.
+  const battery::CellParams params =
+      battery::cell_params(battery::Chemistry::kNmc);
+  battery::Cell cell(params, 1.0, 25.0);
+  data::ProtocolRunner runner(60.0);
+  const data::Trace clean =
+      runner.run(cell, {data::cc_discharge(params, 1.0)});
+  ASSERT_NO_THROW((void)estimate_soh_from_discharge(clean, params.capacity_ah));
+  std::vector<data::TracePoint> points(clean.begin(), clean.end());
+  points[points.size() / 2].time_s = std::numeric_limits<double>::quiet_NaN();
+  const data::Trace corrupt(std::move(points));
+  EXPECT_THROW((void)estimate_soh_from_discharge(corrupt, params.capacity_ah),
+               std::invalid_argument);
+}
+
 TEST(SohEstimator, RejectsPartialDischarge) {
   const battery::CellParams params =
       battery::cell_params(battery::Chemistry::kNmc);
@@ -151,6 +170,14 @@ TEST(SohEnsemble, RoutesToNearestLevel) {
   EXPECT_EQ(ensemble.select_index(0.91), 1u);
   EXPECT_EQ(ensemble.select_index(0.84), 2u);
   EXPECT_EQ(ensemble.select_index(0.6), 2u);
+  // Every distance to NaN compares false, and the infinities tie at every
+  // level: all three used to route to member 0.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)ensemble.select_index(bad), std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(SohEnsemble, AgedMemberBeatsFreshModelOnAgedCell) {

@@ -114,6 +114,18 @@ TEST(SimdDispatch, PanelKernelsTableMatchesSupport) {
   }
   EXPECT_EQ(simd::active_panel_kernels().f64,
             simd::panel_kernels(simd::active_isa()).f64);
+  // Values outside the enum have no row: they read as absent, and the
+  // queries that return a row's contents throw instead of indexing past it.
+  for (const Isa outside : {static_cast<Isa>(-1),
+                            static_cast<Isa>(simd::kNumIsas)}) {
+    const int value = static_cast<int>(outside);
+    EXPECT_FALSE(simd::isa_compiled(outside)) << value;
+    EXPECT_FALSE(simd::isa_supported(outside)) << value;
+    EXPECT_THROW((void)simd::isa_name(outside), std::invalid_argument)
+        << value;
+    EXPECT_THROW((void)simd::panel_kernels(outside), std::invalid_argument)
+        << value;
+  }
 }
 
 /// ulp distance between two floats of the same sign regime; 0 for bitwise

@@ -13,9 +13,18 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>  // NOLINT(modernize-deprecated-headers)
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "serve/fleet_engine.hpp"
@@ -419,6 +428,82 @@ TEST(ShardedFleet, RequiresATrainedNetAndANonDegeneratePartition) {
   ShardedFleetConfig too_many;
   too_many.workers = 9;
   EXPECT_THROW(ShardedFleet(net, 8, too_many), std::invalid_argument);
+}
+
+/// Pids of the calling process's children, oldest first. Reads the
+/// calling thread's list, so call it from a single-threaded process.
+std::vector<pid_t> child_pids() {
+  std::ifstream in("/proc/self/task/" + std::to_string(::getpid()) +
+                   "/children");
+  std::vector<pid_t> pids;
+  for (pid_t pid = 0; in >> pid;) pids.push_back(pid);
+  return pids;
+}
+
+/// In a 2-worker fleet that has stepped once, SIGKILLs worker 1; the next
+/// step must throw naming it. Returns what went wrong, or "" on success.
+std::string kill_a_worker_mid_run(bool ignore_sigchld) {
+  if (ignore_sigchld) ::signal(SIGCHLD, SIG_IGN);
+  const core::TwoBranchNet net = testing::make_fitted_net(21);
+  util::Rng rng(5);
+  ShardedFleetConfig config;
+  config.workers = 2;
+  auto fleet = std::make_unique<ShardedFleet>(net, 16, config);
+  fleet->step(testing::random_workload(16, rng));
+  const std::vector<pid_t> workers = child_pids();
+  if (workers.size() != 2) {
+    return "expected 2 worker pids, read " + std::to_string(workers.size());
+  }
+  ::kill(workers[1], SIGKILL);
+  try {
+    fleet->step(testing::random_workload(16, rng));
+    return "the step after the kill did not throw";
+  } catch (const std::runtime_error& e) {
+    if (std::string(e.what()).find("worker 1") == std::string::npos) {
+      return std::string("the error does not name worker 1: ") + e.what();
+    }
+  }
+  const auto start = std::chrono::steady_clock::now();
+  fleet.reset();
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  if (ignore_sigchld && took.count() >= 1.0) {
+    return "destroying the fleet took " + std::to_string(took.count()) + " s";
+  }
+  return "";
+}
+
+TEST(ShardedFleet, DiagnosesAWorkerThatDiedMidRun) {
+  SOCPINN_SKIP_IF_NO_FORK();
+  // README promises that a dead worker is diagnosed, not hung on. With
+  // SIGCHLD ignored the kernel reaps the worker itself, so waitpid fails
+  // with ECHILD instead of returning its pid. Each leg runs in a forked
+  // child under alarm(20), so a hang fails the test instead of ctest.
+  for (const bool ignore_sigchld : {false, true}) {
+    std::fflush(stdout);
+    std::fflush(stderr);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::alarm(20);
+      std::string failure;
+      try {
+        failure = kill_a_worker_mid_run(ignore_sigchld);
+      } catch (const std::exception& e) {
+        failure = std::string("unexpected exception: ") + e.what();
+      }
+      if (!failure.empty()) std::fprintf(stderr, "%s\n", failure.c_str());
+      std::fflush(stderr);
+      ::_exit(failure.empty() ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << (ignore_sigchld ? "SIGCHLD ignored: " : "default SIGCHLD: ")
+        << (WIFSIGNALED(status)
+                ? "killed by signal " + std::to_string(WTERMSIG(status))
+                : "exit status " + std::to_string(WEXITSTATUS(status)));
+  }
 }
 
 }  // namespace
