@@ -132,7 +132,7 @@ void emit_bench_json(const char* path, std::size_t cells, int reps) {
   const double ingest_tick_ms = ingest_timer.millis() / reps;
 
   // --- param ingest through shm: the parent-side publish_params rate
-  // (wait-free into the owning worker's segment) and a tick draining
+  // (wait-free into the owning worker's shm slot) and a tick draining
   // updates for 10% of the fleet — the background-SoH-estimator shape ---
   util::WallTimer param_publish_timer;
   for (int i = 0; i < publish_reps; ++i) {

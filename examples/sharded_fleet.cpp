@@ -3,11 +3,12 @@
 /// soak. A ShardedFleet parent forks worker processes, each owning one
 /// contiguous shard of the fleet and running the existing FleetEngine
 /// over it; everything crosses process boundaries through shared memory
-/// (per-cell seqlock mailboxes for telemetry, a versioned model region
-/// for hot-swap, per-shard SoC/input spans for commands).
+/// (one fleet segment holding per-cell seqlock mailboxes for telemetry
+/// and the SoC/input arrays for commands, plus a versioned model region
+/// for hot-swap).
 ///
-///   1. the fleet connects once (batched Branch-1 seeding, scattered to
-///      every worker's segment),
+///   1. the fleet connects once (batched Branch-1 seeding, staged once in
+///      the fleet segment, each worker seeding its own slice),
 ///   2. the soak loop ticks the whole fleet while the parent streams
 ///      per-cell telemetry straight into the workers' shm mailboxes —
 ///      including a few deliberately non-finite messages, which each

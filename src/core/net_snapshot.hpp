@@ -47,17 +47,19 @@ class TwoBranchSnapshotT {
   /// forward throws std::logic_error until that branch's scaler is fitted
   /// (a Physics-Only model trains Branch 1 alone and serves its estimates).
   /// A net that could never serve throws std::invalid_argument here, so no
-  /// engine ever publishes it: a branch whose dense layers do not chain
-  /// (MlpSnapshotT::from), a Branch 1 whose first dense layer does not take
-  /// 3 inputs or a Branch 2 whose does not take 4, or a fitted scaler with
-  /// a different feature count than its branch.
+  /// engine ever publishes it: a branch whose dense layers do not chain or
+  /// hold a weight that is not finite at T (MlpSnapshotT::from), a Branch 1
+  /// whose first dense layer does not take 3 inputs or a Branch 2 whose
+  /// does not take 4, a branch whose last dense layer does not output one
+  /// SoC, or a fitted scaler with a different feature count than its
+  /// branch.
   explicit TwoBranchSnapshotT(const TwoBranchNet& net)
       : branch1_(nn::MlpSnapshotT<T>::from(net.branch1())),
         branch2_(nn::MlpSnapshotT<T>::from(net.branch2())),
         scaler1_(stats(net.scaler1())),
         scaler2_(stats(net.scaler2())) {
-    require_inputs("Branch 1", branch1_, scaler1_, 3);
-    require_inputs("Branch 2", branch2_, scaler2_, 4);
+    require_shape("Branch 1", branch1_, scaler1_, 3);
+    require_shape("Branch 2", branch2_, scaler2_, 4);
   }
 
   /// Branch-1 panel: sensors_columns is 3 x n ([V; I; T] rows, batch as
@@ -88,16 +90,22 @@ class TwoBranchSnapshotT {
   }
 
   /// Throws std::invalid_argument unless `branch` takes `features` inputs
-  /// and `scaler`, when fitted, standardizes exactly that many.
-  static void require_inputs(const char* name,
-                             const nn::MlpSnapshotT<T>& branch,
-                             const nn::ScalerStatsT<T>& scaler,
-                             std::size_t features) {
+  /// and outputs one value, and `scaler`, when fitted, standardizes
+  /// exactly `features`.
+  static void require_shape(const char* name,
+                            const nn::MlpSnapshotT<T>& branch,
+                            const nn::ScalerStatsT<T>& scaler,
+                            std::size_t features) {
     const std::string who = std::string("TwoBranchSnapshot: ") + name;
     if (branch.in_features() != features) {
       throw std::invalid_argument(
           who + " takes " + std::to_string(branch.in_features()) +
           " inputs, expected " + std::to_string(features));
+    }
+    if (branch.out_features() != 1) {
+      throw std::invalid_argument(
+          who + " outputs " + std::to_string(branch.out_features()) +
+          " values, expected 1");
     }
     if (scaler.num_features() != 0 && scaler.num_features() != features) {
       throw std::invalid_argument(

@@ -1,6 +1,7 @@
 #include "nn/panel.hpp"
 
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -116,6 +117,30 @@ SOCPINN_HOT void ScalerStatsT<T>::transform_columns_into(
   }
 }
 
+namespace {
+
+/// `m` converted to T. Throws std::invalid_argument naming `layer` on a
+/// value that is not finite at T: a NaN or Inf, or an f64 value beyond
+/// float range (checked before the cast, which would be undefined).
+template <typename T>
+MatrixT<T> converted(const Matrix& m, std::size_t layer) {
+  MatrixT<T> out(m.rows(), m.cols());
+  for (std::size_t e = 0; e < m.size(); ++e) {
+    const double v = m.data()[e];
+    if (!(std::fabs(v) <=
+          static_cast<double>(std::numeric_limits<T>::max()))) {
+      throw std::invalid_argument(
+          "MlpSnapshotT::from: layer " + std::to_string(layer) +
+          " has a weight or bias that is not finite at the snapshot's "
+          "precision");
+    }
+    out.data()[e] = static_cast<T>(v);
+  }
+  return out;
+}
+
+}  // namespace
+
 template <typename T>
 MlpSnapshotT<T> MlpSnapshotT<T>::from(const Mlp& mlp) {
   MlpSnapshotT snapshot;
@@ -138,14 +163,8 @@ MlpSnapshotT<T> MlpSnapshotT<T>::from(const Mlp& mlp) {
             "outputs " + std::to_string(*width));
       }
       width = w.cols();
-      step.w.resize(w.rows(), w.cols());
-      for (std::size_t e = 0; e < w.size(); ++e) {
-        step.w.data()[e] = static_cast<T>(w.data()[e]);
-      }
-      step.b.resize(1, b.cols());
-      for (std::size_t e = 0; e < b.size(); ++e) {
-        step.b.data()[e] = static_cast<T>(b.data()[e]);
-      }
+      step.w = converted<T>(w, i);
+      step.b = converted<T>(b, i);
     } else if (const auto* act = dynamic_cast<const Activation*>(&layer)) {
       step.act = act->kind();
     } else {

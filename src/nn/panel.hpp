@@ -91,14 +91,23 @@ class MlpSnapshotT {
 
   /// Captures every layer. Throws std::invalid_argument on layer kinds the
   /// inference path does not know (the paper's branches are Dense +
-  /// Activation only) and on a dense layer whose input width differs from
-  /// the previous dense layer's output width.
+  /// Activation only), on a dense layer whose input width differs from
+  /// the previous dense layer's output width, and on a weight or bias that
+  /// is not finite once converted to T.
   [[nodiscard]] static MlpSnapshotT from(const Mlp& mlp);
 
   /// Input width of the first dense layer, or 0 for a snapshot without one.
   [[nodiscard]] std::size_t in_features() const {
     for (const Step& step : steps_) {
       if (step.is_dense) return step.w.rows();
+    }
+    return 0;
+  }
+
+  /// Output width of the last dense layer, or 0 for a snapshot without one.
+  [[nodiscard]] std::size_t out_features() const {
+    for (auto step = steps_.rbegin(); step != steps_.rend(); ++step) {
+      if (step->is_dense) return step->w.cols();
     }
     return 0;
   }

@@ -29,15 +29,20 @@ std::shared_ptr<const core::TwoBranchSnapshot> validated_snapshot(
 
 }  // namespace
 
-void require_finite_rows(const double* rows, std::size_t num_rows,
-                         const char* who, const char* row_name) {
+bool rows_finite(const double* rows, std::size_t num_rows) {
   // |x| <= DBL_MAX is false exactly for NaN and +-Inf. This OR-reduction
-  // form vectorizes; the row is only located once a batch is known bad.
+  // form vectorizes.
   int bad = 0;
   for (std::size_t k = 0; k < num_rows * 3; ++k) {
     bad |= static_cast<int>(!(std::fabs(rows[k]) <= DBL_MAX));
   }
-  if (bad == 0) return;
+  return bad == 0;
+}
+
+void require_finite_rows(const double* rows, std::size_t num_rows,
+                         const char* who, const char* row_name) {
+  // The row is only located once a batch is known bad.
+  if (rows_finite(rows, num_rows)) return;
   std::size_t r = 0;
   while (std::isfinite(rows[r * 3]) && std::isfinite(rows[r * 3 + 1]) &&
          std::isfinite(rows[r * 3 + 2])) {

@@ -44,6 +44,9 @@ struct Branch2Row {
   double horizon_s = 0.0;
 };
 
+/// Whether every field of a row-major `num_rows` x 3 batch is finite.
+[[nodiscard]] bool rows_finite(const double* rows, std::size_t num_rows);
+
 /// The synchronous side of the serve::is_finite policy for row-major
 /// `num_rows` x 3 batches (sensor or workload rows): throws
 /// std::invalid_argument "<who>: non-finite <row_name> <r>" for the first

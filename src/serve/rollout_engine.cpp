@@ -94,6 +94,19 @@ void RolloutEngine::run_into(std::span<const RolloutLane> lanes,
     if (lane.schedule == nullptr) {
       throw_lane_error(i, "lane without a schedule");
     }
+    // FleetEngine::run(schedule)'s checks: the steps read 3 columns per
+    // row, and a NaN input comes out of ReLU as a finite, wrong SoC.
+    const data::WorkloadSchedule& sched = *lane.schedule;
+    if (sched.num_steps() != 0 && sched.workload.cols() != 3) {
+      throw_lane_error(i, "schedule workload needs num_steps x 3");
+    }
+    if (!is_finite(SensorReport{sched.voltage0, sched.current0,
+                                sched.temp0})) {
+      throw_lane_error(i, "schedule's t0 sensor row is not finite");
+    }
+    if (!rows_finite(sched.workload.data().data(), sched.num_steps())) {
+      throw_lane_error(i, "schedule workload is not finite");
+    }
     // core::is_valid rejects NaN/Inf (a plain `<= 0` comparison would wave
     // them through — every NaN compare is false) as well as a finite
     // capacity of 0 — any of which would silently divide Eq. 1 into

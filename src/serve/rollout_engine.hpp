@@ -61,6 +61,9 @@ enum class LaneKind {
 
 /// One rollout lane: a trace's extracted schedule plus the advancement
 /// rule. The schedule (and the plan, when set) must outlive the run call.
+/// The schedule is validated at run entry: a num_steps x 3 workload, and
+/// finite t0 sensors and workload values (serve::is_finite policy), with
+/// errors naming the lane index.
 struct RolloutLane {
   const data::WorkloadSchedule* schedule = nullptr;
   LaneKind kind = LaneKind::kCascade;

@@ -1,8 +1,5 @@
 #include "serve/shard_worker.hpp"
 
-// NOLINT(modernize-deprecated-headers) — <ctime> is not guaranteed to
-// declare POSIX ::nanosleep / ::timespec; this TU needs the POSIX header.
-#include <time.h>  // NOLINT(modernize-deprecated-headers)
 #include <unistd.h>
 
 #include <atomic>
@@ -22,15 +19,6 @@
 namespace socpinn::serve {
 
 namespace {
-
-/// One spin-wait beat. The parent and its workers share cores (possibly
-/// ONE core in CI containers), so the wait loops sleep instead of
-/// busy-spinning: command granularity is a whole batched tick over
-/// thousands of cells, which dwarfs a 100us nap.
-void nap() {
-  timespec ts{0, 100'000};
-  ::nanosleep(&ts, nullptr);
-}
 
 void copy_error(WorkerHeader& h, const char* what) {
   std::strncpy(h.error_msg, what, sizeof(h.error_msg) - 1);
@@ -68,9 +56,8 @@ void shard_worker_main(const ShardWorkerContext& ctx) {
   std::uint64_t model_version = 0;
   std::string fatal;
   try {
-    // The parent publishes version 1 before forking, so this returns at
-    // once; the loop only guards a pathological scheduling of the fork.
-    while ((model_version = ctx.model->read_if_newer(0, blob)) == 0) nap();
+    // The parent publishes version 1 before it forks.
+    model_version = ctx.model->read_if_newer(0, blob);
     std::istringstream in(blob);
     const core::TwoBranchNet net = core::load_model(in);
     FleetConfig cfg = ctx.engine;
@@ -87,15 +74,17 @@ void shard_worker_main(const ShardWorkerContext& ctx) {
   // --- command loop ---
   std::uint64_t acked =
       std::atomic_ref<std::uint64_t>(h.ack_seq).load(std::memory_order_relaxed);
+  const std::atomic_ref<std::uint64_t> cmd_seq(h.cmd_seq);
   for (;;) {
-    const std::atomic_ref<std::uint64_t> cmd_seq(h.cmd_seq);
-    std::uint64_t seq;
-    std::size_t beats = 0;
-    while ((seq = cmd_seq.load(std::memory_order_acquire)) == acked) {
-      // Orphan check: if the parent died we were reparented — nothing
+    std::uint64_t seq = acked;
+    if (!wait_until(
+            [&] {
+              return (seq = cmd_seq.load(std::memory_order_acquire)) != acked;
+            },
+            [&] { return ::getppid() == parent; })) {
+      // Orphan check: the parent died and we were reparented — nothing
       // will ever command or reap us, so leave instead of leaking.
-      if (++beats % 64 == 0 && ::getppid() != parent) ::_exit(2);
-      nap();
+      ::_exit(2);
     }
     const auto cmd = static_cast<WorkerCommand>(h.cmd);
     if (cmd == WorkerCommand::kStop) {
@@ -143,11 +132,12 @@ void shard_worker_main(const ShardWorkerContext& ctx) {
           engine->run(h.param0, h.param1, h.param2, h.ticks);
           break;
         case WorkerCommand::kSetCellModes:
-          // The input area carries the modes as doubles (the staging area
-          // is a double array; 0.0 = cascade, anything else = physics).
+          // Each input row carries its cell's mode as a double in its
+          // first field (0.0 = cascade, anything else = physics).
           for (std::size_t i = 0; i < n; ++i) {
-            staged_modes[i] = ctx.input[i] == 0.0 ? CellMode::kCascade
-                                                  : CellMode::kPhysicsOnly;
+            staged_modes[i] = ctx.input[3 * i] == 0.0
+                                  ? CellMode::kCascade
+                                  : CellMode::kPhysicsOnly;
           }
           engine->set_cell_modes(staged_modes);
           break;

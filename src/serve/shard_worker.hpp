@@ -6,11 +6,12 @@
 ///
 /// A worker is fork()ed (no exec) by ShardedFleet, so it inherits the
 /// parent's mappings and runs this very binary's code: the context below
-/// is plain pointers into segments the child already has. The worker
-/// never returns — it services commands until kStop (or until its parent
-/// dies), then _exit()s without running static destructors (the inherited
-/// stdio buffers belong to the parent; _exit keeps them from flushing
-/// twice).
+/// is plain pointers into the fleet segment the child already has. The
+/// worker waits for each command through wait_until, the wait the parent
+/// uses for acks. It never returns — it services commands until kStop (or
+/// until its parent dies), then _exit()s without running static
+/// destructors (the inherited stdio buffers belong to the parent; _exit
+/// keeps them from flushing twice).
 ///
 /// Determinism contract: the worker only ticks its engine while executing
 /// a command, and it adopts the newest ModelRegion version at the top of
@@ -30,8 +31,9 @@
 namespace socpinn::serve {
 
 /// Everything a forked worker needs, as plain pointers into inherited
-/// mappings. Built by ShardedFleet; all pointers outlive the worker (the
-/// parent keeps the segments mapped until after waitpid).
+/// mappings: its header, and its shard's slice of each per-cell array.
+/// Built by ShardedFleet; all pointers outlive the worker (the parent
+/// keeps the segments mapped until after waitpid).
 struct ShardWorkerContext {
   WorkerHeader* header = nullptr;
   MailboxSlot* mailbox_slots = nullptr;  ///< num_cells slots (engine-external)

@@ -1,10 +1,9 @@
 #include "serve/sharded_fleet.hpp"
 
-// NOLINT(modernize-deprecated-headers) — <csignal>/<ctime> are not
-// guaranteed to declare POSIX ::kill / ::nanosleep; keep the POSIX headers.
+// NOLINT(modernize-deprecated-headers) — <csignal> is not guaranteed to
+// declare POSIX ::kill; keep the POSIX header.
 #include <signal.h>  // NOLINT(modernize-deprecated-headers)
 #include <sys/wait.h>
-#include <time.h>  // NOLINT(modernize-deprecated-headers)
 #include <unistd.h>
 
 #include <atomic>
@@ -14,7 +13,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "core/model_io.hpp"
 #include "serve/engine_core.hpp"
@@ -24,13 +22,6 @@
 namespace socpinn::serve {
 
 namespace {
-
-/// Same beat as the worker side: sleep, don't burn the (possibly single)
-/// shared core under the worker that is doing the actual tick.
-void nap() {
-  timespec ts{0, 100'000};
-  ::nanosleep(&ts, nullptr);
-}
 
 /// Whether worker `pid` has exited. A worker reaped elsewhere (SIGCHLD
 /// ignored, or another thread's waitpid(-1)) leaves waitpid failing with
@@ -88,24 +79,13 @@ ShardedFleet::ShardedFleet(const core::TwoBranchNet& net,
       model_region_(
           make_model_region(checked_blob(net, num_cells, config.precision))),
       shards_(partition_fleet(num_cells, config.workers)),
-      soc_(num_cells, 0.0) {
-  workers_.reserve(shards_.size());
-  for (const Shard& shard : shards_) {
-    const WorkerSegmentLayout layout{shard.size()};
-    ShmSegment segment(layout.total_size());
-    WorkerHeader* header = segment.at<WorkerHeader>(layout.header_offset());
-    MailboxSlot* slots = segment.at<MailboxSlot>(layout.mailbox_offset());
-    double* soc = segment.at<double>(layout.soc_offset());
-    double* input = segment.at<double>(layout.input_offset());
-    // Stamp the ABI fingerprint before any worker can attach (workers
-    // fork below): shard_worker_main refuses a segment whose hash does
-    // not match its own binary's layout (see serve/shm_layout.hpp).
-    header->layout_hash = shm_layout_hash();
-    workers_.push_back(Worker{shard, std::move(segment), header, slots, soc,
-                              input, Mailbox(slots, shard.size())});
-  }
-
-  // Fork only after EVERY segment and the published model exist: children
+      layout_{num_cells, shards_.size()},
+      segment_(layout_.total_size()),
+      mailbox_(segment_.at<MailboxSlot>(layout_.mailbox_offset()),
+               num_cells),
+      soc_(segment_.at<double>(layout_.soc_offset())),
+      input_(segment_.at<double>(layout_.input_offset())) {
+  // Fork only after the segment and the published model exist: children
   // inherit complete mappings and need nothing from the parent afterwards
   // except commands. This parent owns no threads, so fork-without-exec is
   // safe here; callers that do run threads get children whose only live
@@ -114,16 +94,23 @@ ShardedFleet::ShardedFleet(const core::TwoBranchNet& net,
                                   .clamp_soc = config.clamp_soc,
                                   .precision = config.precision,
                                   .default_params = config.default_params};
-  for (Worker& w : workers_) {
-    ShardWorkerContext ctx;
-    ctx.header = w.header;
-    ctx.mailbox_slots = w.slots;
-    ctx.soc = w.soc;
-    ctx.input = w.input;
-    ctx.num_cells = w.shard.size();
-    ctx.model = &model_region_;
-    ctx.engine = engine_config;
-    ctx.alloc_counter = config.alloc_counter;
+  MailboxSlot* slots = segment_.at<MailboxSlot>(layout_.mailbox_offset());
+  workers_.reserve(shards_.size());
+  for (const Shard& shard : shards_) {
+    auto* header =
+        segment_.at<WorkerHeader>(layout_.header_offset(shard.index));
+    // Stamp the ABI fingerprint before the worker can attach:
+    // shard_worker_main refuses a header whose hash does not match its own
+    // binary's layout (see serve/shm_layout.hpp).
+    header->layout_hash = shm_layout_hash();
+    const ShardWorkerContext ctx{.header = header,
+                                 .mailbox_slots = slots + shard.begin,
+                                 .soc = soc_ + shard.begin,
+                                 .input = input_ + 3 * shard.begin,
+                                 .num_cells = shard.size(),
+                                 .model = &model_region_,
+                                 .engine = engine_config,
+                                 .alloc_counter = config.alloc_counter};
     // Flush inherited stdio buffers so the child's _exit cannot re-emit
     // the parent's pending output.
     std::fflush(stdout);
@@ -134,31 +121,23 @@ ShardedFleet::ShardedFleet(const core::TwoBranchNet& net,
     }
     if (pid < 0) {
       const int err = errno;
-      for (Worker& started : workers_) {
-        if (started.pid > 0) {
-          ::kill(started.pid, SIGKILL);
-          ::waitpid(started.pid, nullptr, 0);
-          started.reaped = true;
-        }
+      for (const Worker& started : workers_) {
+        ::kill(started.pid, SIGKILL);
+        ::waitpid(started.pid, nullptr, 0);
       }
       throw std::runtime_error(std::string("ShardedFleet: fork failed: ") +
                                std::strerror(err));
     }
-    w.pid = pid;
+    workers_.push_back(Worker{shard, header, pid});
   }
 }
 
 ShardedFleet::~ShardedFleet() {
   const util::RoleGuard cmd(cmd_serial_);
   for (Worker& w : workers_) {
-    if (w.pid <= 0 || w.reaped) continue;
-    w.header->cmd = static_cast<std::uint32_t>(WorkerCommand::kStop);
-    ++w.seq;
-    std::atomic_ref<std::uint64_t>(w.header->cmd_seq)
-        .store(w.seq, std::memory_order_release);
+    if (!w.reaped) post(w, WorkerCommand::kStop);
   }
   for (Worker& w : workers_) {
-    if (w.pid <= 0 || w.reaped) continue;
     // Workers _exit right after acking kStop; allow a generous beat for a
     // worker mid-tick to finish, then stop waiting politely.
     for (int beat = 0; beat < 20000 && !w.reaped; ++beat) {
@@ -182,24 +161,19 @@ void ShardedFleet::post(Worker& w, WorkerCommand cmd) {
 
 void ShardedFleet::wait_ack(Worker& w) {
   const std::atomic_ref<std::uint64_t> ack(w.header->ack_seq);
-  std::size_t beats = 0;
-  while (ack.load(std::memory_order_acquire) != w.seq) {
-    if (++beats % 64 == 0 && worker_exited(w.pid)) {
-      w.reaped = true;
-      throw std::runtime_error("ShardedFleet: worker " +
-                               std::to_string(w.shard.index) +
-                               " died before acknowledging a command");
-    }
-    nap();
+  if (!wait_until(
+          [&] { return ack.load(std::memory_order_acquire) == w.seq; },
+          [&] { return !worker_exited(w.pid); })) {
+    w.reaped = true;
+    throw std::runtime_error("ShardedFleet: worker " +
+                             std::to_string(w.shard.index) +
+                             " died before acknowledging a command");
   }
 }
 
-void ShardedFleet::finish_command() {
+void ShardedFleet::broadcast(WorkerCommand cmd) {
+  for (Worker& w : workers_) post(w, cmd);
   for (Worker& w : workers_) wait_ack(w);
-  for (const Worker& w : workers_) {
-    std::memcpy(soc_.data() + w.shard.begin, w.soc,
-                w.shard.size() * sizeof(double));
-  }
   for (const Worker& w : workers_) {
     if (w.header->status != 0) {
       throw std::runtime_error("ShardedFleet: worker " +
@@ -220,12 +194,8 @@ void ShardedFleet::init_from_sensors(const nn::Matrix& sensors_raw) {
   require_finite_rows(rows, num_cells(), "ShardedFleet::init_from_sensors",
                       "sensor row for cell");
   const util::RoleGuard cmd(cmd_serial_);
-  for (Worker& w : workers_) {
-    std::memcpy(w.input, rows + w.shard.begin * 3,
-                w.shard.size() * 3 * sizeof(double));
-    post(w, WorkerCommand::kInitFromSensors);
-  }
-  finish_command();
+  std::memcpy(input_, rows, num_cells() * 3 * sizeof(double));
+  broadcast(WorkerCommand::kInitFromSensors);
 }
 
 void ShardedFleet::set_soc(std::span<const double> soc) {
@@ -233,12 +203,8 @@ void ShardedFleet::set_soc(std::span<const double> soc) {
     throw std::invalid_argument("ShardedFleet::set_soc: size mismatch");
   }
   const util::RoleGuard cmd(cmd_serial_);
-  for (Worker& w : workers_) {
-    std::memcpy(w.soc, soc.data() + w.shard.begin,
-                w.shard.size() * sizeof(double));
-    post(w, WorkerCommand::kSetSoc);
-  }
-  finish_command();
+  std::memcpy(soc_, soc.data(), num_cells() * sizeof(double));
+  broadcast(WorkerCommand::kSetSoc);
 }
 
 void ShardedFleet::step(const nn::Matrix& workload_raw) {
@@ -250,12 +216,8 @@ void ShardedFleet::step(const nn::Matrix& workload_raw) {
   require_finite_rows(rows, num_cells(), "ShardedFleet::step",
                       "workload row for cell");
   const util::RoleGuard cmd(cmd_serial_);
-  for (Worker& w : workers_) {
-    std::memcpy(w.input, rows + w.shard.begin * 3,
-                w.shard.size() * 3 * sizeof(double));
-    post(w, WorkerCommand::kStep);
-  }
-  finish_command();
+  std::memcpy(input_, rows, num_cells() * 3 * sizeof(double));
+  broadcast(WorkerCommand::kStep);
   ++ticks_;
 }
 
@@ -269,9 +231,8 @@ void ShardedFleet::run(double avg_current, double avg_temp_c,
     w.header->param1 = avg_temp_c;
     w.header->param2 = horizon_s;
     w.header->ticks = ticks;
-    post(w, WorkerCommand::kRun);
   }
-  finish_command();
+  broadcast(WorkerCommand::kRun);
   ticks_ += ticks;
 }
 
@@ -288,20 +249,17 @@ void ShardedFleet::swap_model(const core::TwoBranchNet& net) {
 
 void ShardedFleet::publish_sensors(std::size_t cell,
                                    const SensorReport& report) {
-  Worker& w = owner_of(cell);
-  w.mailbox.publish_sensors(cell - w.shard.begin, report);
+  mailbox_.publish_sensors(cell, report);
 }
 
 void ShardedFleet::publish_workload(std::size_t cell,
                                     const WorkloadOverride& forecast) {
-  Worker& w = owner_of(cell);
-  w.mailbox.publish_workload(cell - w.shard.begin, forecast);
+  mailbox_.publish_workload(cell, forecast);
 }
 
 void ShardedFleet::publish_params(std::size_t cell,
                                   const ParamUpdate& update) {
-  Worker& w = owner_of(cell);
-  w.mailbox.publish_params(cell - w.shard.begin, update);
+  mailbox_.publish_params(cell, update);
 }
 
 void ShardedFleet::set_cell_modes(std::span<const CellMode> modes) {
@@ -309,14 +267,10 @@ void ShardedFleet::set_cell_modes(std::span<const CellMode> modes) {
     throw std::invalid_argument("ShardedFleet::set_cell_modes: size mismatch");
   }
   const util::RoleGuard cmd(cmd_serial_);
-  for (Worker& w : workers_) {
-    for (std::size_t i = 0; i < w.shard.size(); ++i) {
-      w.input[i] =
-          modes[w.shard.begin + i] == CellMode::kCascade ? 0.0 : 1.0;
-    }
-    post(w, WorkerCommand::kSetCellModes);
+  for (std::size_t c = 0; c < num_cells(); ++c) {
+    input_[3 * c] = modes[c] == CellMode::kCascade ? 0.0 : 1.0;
   }
-  finish_command();
+  broadcast(WorkerCommand::kSetCellModes);
 }
 
 IngestStats ShardedFleet::ingest_stats() const {
@@ -349,18 +303,6 @@ std::uint64_t ShardedFleet::worker_allocs_last_command(std::size_t w) const {
   return std::atomic_ref<std::uint64_t>(
              workers_[w].header->allocs_last_command)
       .load(std::memory_order_relaxed);
-}
-
-ShardedFleet::Worker& ShardedFleet::owner_of(std::size_t cell) {
-  if (cell >= num_cells()) {
-    throw std::out_of_range("ShardedFleet: cell index out of range");
-  }
-  // Shards are near-equal floor partitions, so the arithmetic guess is
-  // within one shard of the owner; the adjust loop fixes the boundary.
-  std::size_t guess = cell * workers_.size() / num_cells();
-  while (guess + 1 < workers_.size() && cell >= shards_[guess].end) ++guess;
-  while (guess > 0 && cell < shards_[guess].begin) --guess;
-  return workers_[guess];
 }
 
 }  // namespace socpinn::serve

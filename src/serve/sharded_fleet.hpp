@@ -6,10 +6,11 @@
 /// ShardedFleet is the parent-side facade. It partitions [0, num_cells)
 /// into W contiguous serve::Shards (same floor boundaries as the thread
 /// pool, so process and thread splits nest), maps one POSIX shm segment
-/// per worker plus one shared versioned model region, forks the workers
-/// (no exec — they run shard_worker_main from this binary), and then
-/// mirrors the FleetEngine surface: init_from_sensors / set_soc / step /
-/// run / swap_model / publish_* / soc() / ingest_stats().
+/// for the whole fleet (WorkerSegmentLayout) plus one shared versioned
+/// model region, forks the workers (no exec — they run shard_worker_main
+/// from this binary), and then mirrors the FleetEngine surface:
+/// init_from_sensors / set_soc / step / run / swap_model / publish_* /
+/// soc() / ingest_stats().
 ///
 /// Semantics match the single-process engine exactly:
 ///
@@ -32,12 +33,13 @@
 ///     tick is ever torn — RCU semantics across processes).
 ///
 /// Commands are synchronous: each mirrors the blocking FleetEngine call,
-/// broadcasting to all workers, waiting for every ack (with waitpid
-/// liveness checks, so a crashed worker raises instead of hanging), then
-/// gathering per-shard SoC. Worker errors surface as std::runtime_error
-/// naming the worker. Like FleetEngine's tick-path methods, commands must
-/// come from one thread; publish_* and model_version() are safe from any
-/// thread at any time.
+/// staging its batch into the segment with one copy, broadcasting to all
+/// workers and waiting for every ack (with waitpid liveness checks, so a
+/// crashed worker raises instead of hanging). Workers write SoC where
+/// soc() reads it. Worker errors surface as std::runtime_error naming the
+/// worker. Like FleetEngine's tick-path methods, commands must come from
+/// one thread; publish_* and model_version() are safe from any thread at
+/// any time.
 
 #include <sys/types.h>
 
@@ -82,7 +84,7 @@ class ShardedFleet {
   /// Serializes `net` once into the model region (the multi-process
   /// transport ships the model as bytes, so the net must be trained —
   /// fitted scalers — at ANY precision; throws std::invalid_argument
-  /// otherwise), maps one segment per worker, and forks the workers.
+  /// otherwise), maps the fleet's segment, and forks the workers.
   /// The caller's net may be retrained or freed immediately.
   ShardedFleet(const core::TwoBranchNet& net, std::size_t num_cells,
                ShardedFleetConfig config = {});
@@ -105,8 +107,8 @@ class ShardedFleet {
   void set_soc(std::span<const double> soc);
 
   /// One fleet tick: row i of `workload_raw` (num_cells x 3) drives cell
-  /// i. Scatters each worker's row slice through its segment, ticks all
-  /// workers, gathers SoC. Non-finite rows are rejected like
+  /// i. Copies the batch into the segment's input rows and ticks every
+  /// worker over its slice. Non-finite rows are rejected like
   /// init_from_sensors, before any worker sees the batch (run() too).
   void step(const nn::Matrix& workload_raw);
 
@@ -132,20 +134,24 @@ class ShardedFleet {
   void publish_params(std::size_t cell, const ParamUpdate& update);
 
   /// Broadcasts per-cell advancement modes (FleetEngine::set_cell_modes
-  /// across the process boundary): `modes.size() == num_cells`, scattered
-  /// through each worker's input staging area as doubles. Synchronous,
-  /// like every other command.
+  /// across the process boundary): `modes.size() == num_cells`, staged
+  /// as a double in the first field of each cell's input row.
+  /// Synchronous, like every other command.
   void set_cell_modes(std::span<const CellMode> modes);
 
-  /// Fleet SoC as of the last completed command (parent-side gather).
-  [[nodiscard]] std::span<const double> soc() const { return soc_; }
+  /// Fleet SoC as of the last completed command, read in the segment
+  /// where the workers write it (zero before the first command; a worker
+  /// that fails a command leaves its slice as it was).
+  [[nodiscard]] std::span<const double> soc() const {
+    return {soc_, num_cells()};
+  }
 
   /// Sum of every worker's drop counters as exported at its most recent
   /// command ack (serve::is_finite skip-and-count, aggregated with
   /// IngestStats::operator+=).
   [[nodiscard]] IngestStats ingest_stats() const;
 
-  [[nodiscard]] std::size_t num_cells() const { return soc_.size(); }
+  [[nodiscard]] std::size_t num_cells() const { return layout_.num_cells; }
   [[nodiscard]] std::size_t num_workers() const { return workers_.size(); }
   [[nodiscard]] std::span<const Shard> shards() const { return shards_; }
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
@@ -166,12 +172,7 @@ class ShardedFleet {
  private:
   struct Worker {
     Shard shard;
-    ShmSegment segment;
     WorkerHeader* header = nullptr;
-    MailboxSlot* slots = nullptr;
-    double* soc = nullptr;
-    double* input = nullptr;
-    Mailbox mailbox;  ///< parent-side publish view over `slots`
     pid_t pid = -1;
     bool reaped = false;
     std::uint64_t seq = 0;  ///< last command sequence issued
@@ -183,16 +184,14 @@ class ShardedFleet {
   /// Blocks until `w` acks its outstanding command, with waitpid
   /// liveness checks; throws if the worker process died.
   void wait_ack(Worker& w) SOCPINN_REQUIRES(cmd_serial_);
-  /// wait_ack on every worker, then gathers SoC and raises the first
-  /// worker-reported error (all acks are collected BEFORE throwing, so
-  /// the channel stays in sync).
-  void finish_command() SOCPINN_REQUIRES(cmd_serial_);
-
-  [[nodiscard]] Worker& owner_of(std::size_t cell);
+  /// Posts `cmd` to every worker, waits for every ack, then raises the
+  /// first worker-reported error (all acks are collected BEFORE
+  /// throwing, so the channel stays in sync).
+  void broadcast(WorkerCommand cmd) SOCPINN_REQUIRES(cmd_serial_);
 
   /// Phantom command-surface capability (see util::ThreadRole): the
   /// cmd_seq/ack_seq channel is strictly one-command-in-flight per
-  /// worker, so post/wait_ack/finish_command REQUIRE this role and every
+  /// worker, so post/wait_ack/broadcast REQUIRE this role and every
   /// public command enters it with a RoleGuard — a new entry point that
   /// touches the channel without stating the "commands from one thread"
   /// contract fails the clang -Wthread-safety build.
@@ -203,8 +202,12 @@ class ShardedFleet {
   core::Precision precision_;
   ModelRegion model_region_;
   std::vector<Shard> shards_;
+  WorkerSegmentLayout layout_;
+  ShmSegment segment_;  ///< the fleet's one segment, laid out by layout_
+  Mailbox mailbox_;     ///< publish view over every cell's slot
+  double* soc_;         ///< num_cells values; workers write their slices
+  double* input_;       ///< num_cells x 3 rows, staged by each command
   std::vector<Worker> workers_;
-  std::vector<double> soc_;
   std::uint64_t ticks_ = 0;
 };
 

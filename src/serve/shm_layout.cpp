@@ -88,11 +88,11 @@ std::string shm_layout_manifest() {
       << " kSetCellModes="
       << static_cast<std::uint32_t>(WorkerCommand::kSetCellModes) << "\n";
 
-  // Segment arithmetic probed at a non-trivial cell count: the offsets
-  // are pure functions of num_cells, so one sample pins the formulas.
-  const WorkerSegmentLayout probe{3};
-  out << "layout WorkerSegmentLayout(num_cells=3)"
-      << " header=" << probe.header_offset()
+  // Segment arithmetic probed at non-trivial counts: the offsets are pure
+  // functions of num_cells and workers, so one sample pins the formulas.
+  const WorkerSegmentLayout probe{3, 2};
+  out << "layout WorkerSegmentLayout(num_cells=3, workers=2)"
+      << " header(1)=" << probe.header_offset(1)
       << " mailbox=" << probe.mailbox_offset()
       << " soc=" << probe.soc_offset() << " input=" << probe.input_offset()
       << " total=" << probe.total_size() << "\n";

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#include <time.h>  // NOLINT(modernize-deprecated-headers): POSIX nanosleep
 #include <unistd.h>
 
 #include <atomic>
@@ -30,6 +31,11 @@ std::vector<Shard> partition_fleet(std::size_t num_cells,
     shards.push_back(Shard{w, range.begin, range.end});
   }
   return shards;
+}
+
+void nap() {
+  timespec ts{0, 100'000};
+  ::nanosleep(&ts, nullptr);
 }
 
 ShmSegment::ShmSegment(std::size_t size) : size_(size) {

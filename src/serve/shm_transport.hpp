@@ -5,19 +5,23 @@
 ///
 /// One fleet, N processes, O(10^6) cells. Each worker process owns one
 /// contiguous cell range (a serve::Shard) and runs the existing
-/// FleetEngine over it; the parent owns ingress, command fan-out, and SoC
-/// gather. Everything they exchange lives in POSIX shared memory:
+/// FleetEngine over it; the parent owns ingress and command fan-out.
+/// Everything they exchange lives in POSIX shared memory:
 ///
-///   * One WorkerSegment per worker, laid out by WorkerSegmentLayout:
-///     a WorkerHeader (command/ack channel + per-command status export),
-///     the worker's MailboxSlot array (the SAME seqlock slots
-///     FleetEngine drains — the parent's Mailbox view and the worker
-///     engine's external_mailbox_slots alias these bytes, so a telemetry
-///     producer in the parent publishes straight into the slots the
-///     worker's shard loop consumes, zero copies at the boundary),
-///     the worker's SoC span (worker-written after every command), and
-///     an input staging area (parent-written batched rows: sensors for
-///     init, workload rows for step).
+///   * One segment per fleet, laid out by WorkerSegmentLayout: a
+///     WorkerHeader per worker (command/ack channel + per-command status
+///     export), then three per-cell arrays in fleet order, of which each
+///     worker owns its shard's [begin, end) slice, the way a FleetEngine
+///     thread shard owns its slice of the engine's SoC:
+///       - MailboxSlots, the SAME seqlock slots FleetEngine drains: the
+///         parent's Mailbox view and the worker engines'
+///         external_mailbox_slots alias these bytes, so a telemetry
+///         producer in the parent publishes straight into the slots the
+///         worker's shard loop consumes, zero copies at the boundary;
+///       - SoC, written by each worker before it acks and read in place
+///         by the parent;
+///       - 3-double input rows, a batch the parent stages per command
+///         (sensors for init, workload rows for step).
 ///   * One ModelRegion shared by all workers: a versioned seqlock over a
 ///     serialized model blob (core::save_model text — 17 significant
 ///     digits, so the cross-process round trip is bitwise). The parent
@@ -79,21 +83,22 @@ struct Shard {
 /// binary, but the explicit values keep hexdumps readable).
 enum class WorkerCommand : std::uint32_t {
   kNone = 0,             ///< zero-fill initial state: no command yet
-  kInitFromSensors = 1,  ///< input area holds size x 3 sensor rows
-  kSetSoc = 2,           ///< soc area holds size seeded values
-  kStep = 3,             ///< input area holds size x 3 workload rows
+  kInitFromSensors = 1,  ///< the shard's input rows hold sensor rows
+  kSetSoc = 2,           ///< the shard's SoC slice holds seeded values
+  kStep = 3,             ///< the shard's input rows hold workload rows
   kRun = 4,              ///< param0..2 = shared workload row, ticks = count
   kStop = 5,             ///< ack, then _exit(0)
-  kSetCellModes = 6,     ///< input area holds size doubles (0 = cascade)
+  kSetCellModes = 6,     ///< input row i's first field: cell i's mode
+                         ///< (0 = cascade, anything else = physics)
 };
 
-/// The per-worker command/status channel at the head of its segment.
+/// One worker's command/status channel, at the head of the segment.
 /// Single-writer on each side: the parent writes the command fields and
 /// bumps cmd_seq (release); the worker executes, writes the status/export
-/// fields, and publishes ack_seq = cmd_seq (release). Each side spins on
-/// the other's counter with an acquire load plus a liveness check
-/// (waitpid in the parent, getppid in the worker), so a dead peer turns
-/// into an error instead of a hang.
+/// fields, and publishes ack_seq = cmd_seq (release). Each side waits for
+/// the other's counter through wait_until: an acquire load per poll plus
+/// a liveness check (waitpid in the parent, getppid in the worker), so a
+/// dead peer turns into an error instead of a hang.
 struct alignas(64) WorkerHeader {
   // --- ABI fingerprint (parent-written once, before fork) ---
   /// serve::shm_layout_hash() of the binary that laid out the segment.
@@ -149,16 +154,20 @@ static_assert(offsetof(WorkerHeader, ack_seq) %
                   0,
               "ack_seq must satisfy atomic_ref alignment");
 
-/// Byte offsets inside one worker's segment for a shard of `num_cells`
-/// cells. Pure arithmetic — both sides of the fork compute the same
-/// offsets from the same count. MailboxSlot's 64-byte alignment is
-/// honored by construction (the header is a whole number of cache lines).
+/// Byte offsets inside a fleet's segment: `workers` headers, then the
+/// per-cell arrays over `num_cells` cells. Pure arithmetic — both sides
+/// of the fork compute the same offsets from the same counts.
+/// MailboxSlot's 64-byte alignment is honored by construction (a header
+/// is a whole number of cache lines).
 struct WorkerSegmentLayout {
   std::size_t num_cells = 0;
+  std::size_t workers = 1;
 
-  [[nodiscard]] std::size_t header_offset() const { return 0; }
+  [[nodiscard]] std::size_t header_offset(std::size_t worker = 0) const {
+    return worker * sizeof(WorkerHeader);
+  }
   [[nodiscard]] std::size_t mailbox_offset() const {
-    return sizeof(WorkerHeader);
+    return workers * sizeof(WorkerHeader);
   }
   [[nodiscard]] std::size_t soc_offset() const {
     return mailbox_offset() + num_cells * sizeof(MailboxSlot);
@@ -170,6 +179,25 @@ struct WorkerSegmentLayout {
     return input_offset() + num_cells * 3 * sizeof(double);
   }
 };
+
+/// One wait beat of the command channel: a 100 us sleep. The parent and
+/// its workers share cores (possibly ONE core in CI containers), so
+/// waiters sleep instead of busy-spinning: a command is a whole batched
+/// tick over thousands of cells, which dwarfs the nap.
+void nap();
+
+/// The one wait of the command channel, used by both ends: polls done()
+/// and naps between polls, asking peer_alive() every 64 polls. Returns
+/// true once done() holds, false once the peer is gone. The parent waits
+/// for a worker's ack, a worker for the parent's next command.
+template <typename Done, typename Alive>
+[[nodiscard]] bool wait_until(const Done& done, const Alive& peer_alive) {
+  for (std::size_t polls = 1; !done(); ++polls) {
+    if (polls % 64 == 0 && !peer_alive()) return false;
+    nap();
+  }
+  return true;
+}
 
 /// RAII anonymous POSIX shm mapping. Created with a throwaway unique name
 /// and shm_unlink'ed the moment the mapping exists, so the segment is

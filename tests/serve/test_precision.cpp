@@ -16,12 +16,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/net_snapshot.hpp"
 #include "data/lg.hpp"
 #include "data/sandia.hpp"
+#include "nn/dense.hpp"
 #include "serve/fleet_engine.hpp"
 #include "serve/rollout_engine.hpp"
 #include "support/fitted_net.hpp"
@@ -110,10 +112,17 @@ TEST(SnapshotParity, RejectsBranchesThatCannotTakeTheirInputs) {
   core::TwoBranchNet short_scaler2 = testing::make_fitted_net(5);
   short_scaler2.scaler2() =
       nn::StandardScaler::from_moments({0.5, -1.5, 25.0}, {0.25, 2.0, 8.0});
+  // A branch must end in one SoC output, and every weight must be finite.
+  core::TwoBranchNet two_outputs = testing::make_fitted_net(5);
+  two_outputs.branch2() = nn::Mlp::make({4, 8, 2}, rng);
+  core::TwoBranchNet nan_weight = testing::make_fitted_net(5);
+  dynamic_cast<nn::Dense&>(nan_weight.branch2().layer(0)).weights()(0, 0) =
+      std::numeric_limits<double>::quiet_NaN();
   for (const core::Precision precision :
        {core::Precision::kFloat64, core::Precision::kFloat32}) {
     for (const core::TwoBranchNet* net :
-         {&wide_branch1, &narrow_branch2, &short_scaler2}) {
+         {&wide_branch1, &narrow_branch2, &short_scaler2, &two_outputs,
+          &nan_weight}) {
       EXPECT_THROW(core::TwoBranchSnapshot(*net, precision),
                    std::invalid_argument);
     }

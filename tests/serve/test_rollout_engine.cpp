@@ -571,6 +571,23 @@ TEST(RolloutEngine, ValidatesLanes) {
   const std::vector<RolloutLane> one = {{&schedule}};
   EXPECT_THROW(engine.run_into(one, too_small), std::invalid_argument);
 
+  // Schedules are validated like FleetEngine::run(schedule): a workload
+  // that is not num_steps x 3, a NaN in its last window, a NaN voltage0.
+  data::WorkloadSchedule two_columns = schedule;
+  two_columns.workload = nn::Matrix(5, 2, -1.0);
+  two_columns.times_s.resize(6);
+  two_columns.truth.resize(6);
+  data::WorkloadSchedule nan_window = schedule;
+  nan_window.workload(nan_window.num_steps() - 1, 1) =
+      std::numeric_limits<double>::quiet_NaN();
+  data::WorkloadSchedule nan_voltage = schedule;
+  nan_voltage.voltage0 = std::numeric_limits<double>::quiet_NaN();
+  for (const data::WorkloadSchedule* bad :
+       {&two_columns, &nan_window, &nan_voltage}) {
+    const std::vector<RolloutLane> lanes = {{&schedule}, {bad}};
+    EXPECT_THROW((void)engine.run(lanes), std::invalid_argument);
+  }
+
   // Empty fleets are a no-op, not an error.
   EXPECT_TRUE(engine.run(std::span<const RolloutLane>{}).empty());
 }

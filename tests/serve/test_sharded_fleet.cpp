@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>  // NOLINT(modernize-deprecated-headers)
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -91,6 +92,19 @@ TEST(WorkerSegmentLayout, OffsetsAreAlignedAndDisjoint) {
   EXPECT_EQ(layout.input_offset(), layout.soc_offset() + 257 * sizeof(double));
   EXPECT_EQ(layout.total_size(),
             layout.input_offset() + 257 * 3 * sizeof(double));
+
+  // A fleet segment: one header per worker, then the per-cell arrays.
+  const WorkerSegmentLayout fleet{257, 3};
+  for (std::size_t w = 0; w < 3; ++w) {
+    EXPECT_EQ(fleet.header_offset(w), w * sizeof(WorkerHeader));
+  }
+  EXPECT_EQ(fleet.mailbox_offset(), 3 * sizeof(WorkerHeader));
+  EXPECT_EQ(fleet.mailbox_offset() % 64, 0u);
+  EXPECT_EQ(fleet.soc_offset(),
+            fleet.mailbox_offset() + 257 * sizeof(MailboxSlot));
+  EXPECT_EQ(fleet.input_offset(), fleet.soc_offset() + 257 * sizeof(double));
+  EXPECT_EQ(fleet.total_size(),
+            fleet.input_offset() + 257 * 3 * sizeof(double));
 }
 
 TEST(ModelRegion, PublishesVersionedBlobsReadableByVersion) {
@@ -504,6 +518,77 @@ TEST(ShardedFleet, DiagnosesAWorkerThatDiedMidRun) {
                 ? "killed by signal " + std::to_string(WTERMSIG(status))
                 : "exit status " + std::to_string(WEXITSTATUS(status)));
   }
+}
+
+/// Makes the calling process a subreaper, then builds a 1-worker fleet in
+/// a child that runs one command and _exits without destroying the fleet.
+/// The orphaned worker is reparented here, and must exit with status 2
+/// within 10 s; one that does not is killed, so a failure leaks no
+/// process. Call it from a single-threaded process. Returns what went
+/// wrong, or "" on success.
+std::string orphan_a_worker() {
+  if (::prctl(PR_SET_CHILD_SUBREAPER, 1) != 0) {
+    return "PR_SET_CHILD_SUBREAPER failed";
+  }
+  const pid_t owner = ::fork();
+  if (owner < 0) return "fork failed";
+  if (owner == 0) {
+    try {
+      const core::TwoBranchNet net = testing::make_fitted_net(21);
+      util::Rng rng(5);
+      ShardedFleet fleet(net, 8, {});
+      fleet.step(testing::random_workload(8, rng));
+      ::_exit(0);  // the fleet is never destroyed: its worker is orphaned
+    } catch (...) {
+    }
+    ::_exit(1);
+  }
+  int status = 0;
+  if (::waitpid(owner, &status, 0) != owner || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0) {
+    return "the fleet's process did not run its command";
+  }
+  // The owner's exit reparented its worker here before it could be reaped.
+  const std::vector<pid_t> orphans = child_pids();
+  if (orphans.size() != 1) {
+    return "expected 1 orphaned worker, read " +
+           std::to_string(orphans.size());
+  }
+  for (int ms = 0; ms < 10000; ++ms) {
+    if (::waitpid(orphans[0], &status, WNOHANG) == orphans[0]) {
+      return WIFEXITED(status) && WEXITSTATUS(status) == 2
+                 ? ""
+                 : "the orphaned worker did not exit with status 2";
+    }
+    ::usleep(1000);
+  }
+  ::kill(orphans[0], SIGKILL);
+  ::waitpid(orphans[0], nullptr, 0);
+  return "the orphaned worker was still running after 10 s";
+}
+
+TEST(ShardedFleet, WorkerExitsWhenItsParentDies) {
+  SOCPINN_SKIP_IF_NO_FORK();
+  // A worker's command wait checks that its parent is alive; an orphan
+  // must leave instead of waiting forever. Runs in a forked child under
+  // alarm(20), so a hang fails the test instead of ctest.
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::alarm(20);
+    const std::string failure = orphan_a_worker();
+    if (!failure.empty()) std::fprintf(stderr, "%s\n", failure.c_str());
+    std::fflush(stderr);
+    ::_exit(failure.empty() ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << (WIFSIGNALED(status)
+              ? "killed by signal " + std::to_string(WTERMSIG(status))
+              : "exit status " + std::to_string(WEXITSTATUS(status)));
 }
 
 }  // namespace
