@@ -35,6 +35,22 @@ enum class Precision {
   kFloat32,
 };
 
+/// One branch of a serving snapshot: the scaler that standardizes its raw
+/// feature-major input, then the MLP that maps that to one SoC per column.
+template <typename T>
+struct BranchSnapshotT {
+  nn::MlpSnapshotT<T> mlp;
+  nn::ScalerStatsT<T> scaler;
+
+  /// F x n raw `columns` (batch as the unit-stride axis) -> 1 x n SoC,
+  /// pointing into `ws` until its next forward of either branch.
+  const nn::MatrixT<T>& forward(const nn::MatrixT<T>& columns,
+                                InferenceWorkspaceT<T>& ws) const {
+    scaler.transform_columns_into(columns, ws.scaled);
+    return mlp.infer_columns(ws.scaled, ws.layers);
+  }
+};
+
 /// Immutable T-precision twin of a trained TwoBranchNet, run with an
 /// InferenceWorkspaceT<T> (two_branch_net.hpp). At T = double it runs the
 /// same kernel and activation pass as the net's own forward over copied
@@ -54,33 +70,30 @@ class TwoBranchSnapshotT {
   /// SoC, or a fitted scaler with a different feature count than its
   /// branch.
   explicit TwoBranchSnapshotT(const TwoBranchNet& net)
-      : branch1_(nn::MlpSnapshotT<T>::from(net.branch1())),
-        branch2_(nn::MlpSnapshotT<T>::from(net.branch2())),
-        scaler1_(stats(net.scaler1())),
-        scaler2_(stats(net.scaler2())) {
-    require_shape("Branch 1", branch1_, scaler1_, 3);
-    require_shape("Branch 2", branch2_, scaler2_, 4);
+      : branch1_{nn::MlpSnapshotT<T>::from(net.branch1()),
+                 stats(net.scaler1())},
+        branch2_{nn::MlpSnapshotT<T>::from(net.branch2()),
+                 stats(net.scaler2())} {
+    require_shape("Branch 1", branch1_.mlp, branch1_.scaler, 3);
+    require_shape("Branch 2", branch2_.mlp, branch2_.scaler, 4);
   }
 
-  /// Branch-1 panel: sensors_columns is 3 x n ([V; I; T] rows, batch as
-  /// the unit-stride axis) -> 1 x n estimated SoC(t). The returned
-  /// reference points into `ws` until its next forward of either branch.
+  /// Branch 1: [V; I; T] sensors -> SoC(t).
+  [[nodiscard]] const BranchSnapshotT<T>& branch1() const { return branch1_; }
+  /// Branch 2: [SoC; avg I; avg T; N] -> SoC(t+N).
+  [[nodiscard]] const BranchSnapshotT<T>& branch2() const { return branch2_; }
+
+  /// Branch-1 panel: sensors_columns is 3 x n -> 1 x n estimated SoC(t).
   const nn::MatrixT<T>& estimate_columns(const nn::MatrixT<T>& sensors_columns,
                                          InferenceWorkspaceT<T>& ws) const {
-    scaler1_.transform_columns_into(sensors_columns, ws.scaled);
-    return branch1_.infer_columns(ws.scaled, ws.layers);
+    return branch1_.forward(sensors_columns, ws);
   }
 
-  /// Branch-2 panel: branch2_columns is 4 x n ([SoC; avg I; avg T; N]) ->
-  /// 1 x n SoC(t+N).
+  /// Branch-2 panel: branch2_columns is 4 x n -> 1 x n SoC(t+N).
   const nn::MatrixT<T>& predict_columns(const nn::MatrixT<T>& branch2_columns,
                                         InferenceWorkspaceT<T>& ws) const {
-    scaler2_.transform_columns_into(branch2_columns, ws.scaled);
-    return branch2_.infer_columns(ws.scaled, ws.layers);
+    return branch2_.forward(branch2_columns, ws);
   }
-
-  [[nodiscard]] const nn::ScalerStatsT<T>& scaler1() const { return scaler1_; }
-  [[nodiscard]] const nn::ScalerStatsT<T>& scaler2() const { return scaler2_; }
 
  private:
   /// Empty stats for an unfitted scaler: their transform throws.
@@ -114,10 +127,8 @@ class TwoBranchSnapshotT {
     }
   }
 
-  nn::MlpSnapshotT<T> branch1_;
-  nn::MlpSnapshotT<T> branch2_;
-  nn::ScalerStatsT<T> scaler1_;
-  nn::ScalerStatsT<T> scaler2_;
+  BranchSnapshotT<T> branch1_;
+  BranchSnapshotT<T> branch2_;
 };
 
 extern template class TwoBranchSnapshotT<float>;

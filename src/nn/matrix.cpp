@@ -33,16 +33,6 @@ MatrixT<T>::MatrixT(std::size_t rows, std::size_t cols, std::vector<T> data)
 }
 
 template <typename T>
-MatrixT<T> MatrixT<T>::zeros(std::size_t rows, std::size_t cols) {
-  return MatrixT(rows, cols, T(0));
-}
-
-template <typename T>
-MatrixT<T> MatrixT<T>::full(std::size_t rows, std::size_t cols, T v) {
-  return MatrixT(rows, cols, v);
-}
-
-template <typename T>
 MatrixT<T> MatrixT<T>::row_vector(std::span<const T> values) {
   return MatrixT(1, values.size(),
                  std::vector<T>(values.begin(), values.end()));

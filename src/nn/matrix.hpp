@@ -28,9 +28,6 @@ class MatrixT {
   /// Builds from row-major data; throws if sizes disagree.
   MatrixT(std::size_t rows, std::size_t cols, std::vector<T> data);
 
-  /// Factory helpers.
-  [[nodiscard]] static MatrixT zeros(std::size_t rows, std::size_t cols);
-  [[nodiscard]] static MatrixT full(std::size_t rows, std::size_t cols, T v);
   /// 1 x n row vector from values.
   [[nodiscard]] static MatrixT row_vector(std::span<const T> values);
   /// n x 1 column vector from values.

@@ -29,27 +29,26 @@ std::shared_ptr<const core::TwoBranchSnapshot> validated_snapshot(
 
 }  // namespace
 
-bool rows_finite(const double* rows, std::size_t num_rows) {
+bool rows_finite(const double* rows, std::size_t num_rows,
+                 std::size_t width) {
   // |x| <= DBL_MAX is false exactly for NaN and +-Inf. This OR-reduction
   // form vectorizes.
   int bad = 0;
-  for (std::size_t k = 0; k < num_rows * 3; ++k) {
+  for (std::size_t k = 0; k < num_rows * width; ++k) {
     bad |= static_cast<int>(!(std::fabs(rows[k]) <= DBL_MAX));
   }
   return bad == 0;
 }
 
 void require_finite_rows(const double* rows, std::size_t num_rows,
-                         const char* who, const char* row_name) {
+                         const char* who, const char* row_name,
+                         std::size_t width) {
   // The row is only located once a batch is known bad.
-  if (rows_finite(rows, num_rows)) return;
-  std::size_t r = 0;
-  while (std::isfinite(rows[r * 3]) && std::isfinite(rows[r * 3 + 1]) &&
-         std::isfinite(rows[r * 3 + 2])) {
-    ++r;
-  }
+  if (rows_finite(rows, num_rows, width)) return;
+  std::size_t k = 0;
+  while (std::isfinite(rows[k])) ++k;
   throw std::invalid_argument(std::string(who) + ": non-finite " + row_name +
-                              " " + std::to_string(r));
+                              " " + std::to_string(k / width));
 }
 
 EngineCore::EngineCore(const core::TwoBranchNet& net, std::size_t threads,

@@ -15,13 +15,14 @@
 /// it lands in and of the pad, so results are bitwise identical for any
 /// thread count and any shard width. Tiling keeps a shard's activations
 /// L1-resident and its workspace at tile size whatever the shard width:
-/// after one estimate and one predict of at least nn::kColumnsTile columns
+/// after one forward of each branch over at least nn::kColumnsTile columns
 /// the core allocates nothing.
 
 #include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "core/net_snapshot.hpp"
@@ -35,25 +36,19 @@
 
 namespace socpinn::serve {
 
-/// One Branch-2 input column: the SoC to advance and the workload it
-/// advances under.
-struct Branch2Row {
-  double soc = 0.0;
-  double avg_current = 0.0;
-  double avg_temp_c = 0.0;
-  double horizon_s = 0.0;
-};
-
-/// Whether every field of a row-major `num_rows` x 3 batch is finite.
-[[nodiscard]] bool rows_finite(const double* rows, std::size_t num_rows);
+/// Whether every field of a row-major `num_rows` x `width` batch is finite.
+[[nodiscard]] bool rows_finite(const double* rows, std::size_t num_rows,
+                               std::size_t width = 3);
 
 /// The synchronous side of the serve::is_finite policy for row-major
-/// `num_rows` x 3 batches (sensor or workload rows): throws
-/// std::invalid_argument "<who>: non-finite <row_name> <r>" for the first
-/// row r with a NaN or Inf field. Callers run it before any state changes,
-/// so a rejected batch leaves the engine exactly as it was.
+/// `num_rows` x `width` batches (3 for sensor or workload rows, 1 for
+/// seeded SoC values): throws std::invalid_argument
+/// "<who>: non-finite <row_name> <r>" for the first row r with a NaN or
+/// Inf field. Callers run it before any state changes, so a rejected batch
+/// leaves the engine exactly as it was.
 void require_finite_rows(const double* rows, std::size_t num_rows,
-                         const char* who, const char* row_name);
+                         const char* who, const char* row_name,
+                         std::size_t width = 3);
 
 class EngineCore {
  public:
@@ -130,60 +125,36 @@ class EngineCore {
     });
   }
 
-  /// One batched Branch-1 estimate of n columns: sensors(i) returns column
-  /// i's SensorReport, and store(i, soc) receives its clamped estimate.
-  /// Columns run in nn::kColumnsTile-wide tiles, each staged, forwarded
-  /// and written back before the next is staged. estimate and predict
-  /// share the workspace's one input panel and one set of layer panels,
-  /// which is safe because neither returns before its last write-back.
-  template <typename T, typename Sensors, typename Store>
-  SOCPINN_HOT void estimate(const core::TwoBranchSnapshotT<T>& model,
-                            core::InferenceWorkspaceT<T>& ws, std::size_t n,
-                            Sensors&& sensors, Store&& store) const {
-    for (std::size_t begin = 0; begin < n; begin += nn::kColumnsTile) {
-      const std::size_t w = std::min(nn::kColumnsTile, n - begin);
-      // SOCPINN_HOT_ALLOW(resize): warm capacity after one estimate and one
-      // predict of kColumnsTile columns (test_alloc_free.cpp probes it)
-      ws.input.resize(3, std::max(w, nn::kColumnsMinBatch));
-      for (std::size_t i = 0; i < w; ++i) {
-        const SensorReport r = sensors(begin + i);
-        ws.input(0, i) = static_cast<T>(r.voltage);
-        ws.input(1, i) = static_cast<T>(r.current);
-        ws.input(2, i) = static_cast<T>(r.temp_c);
-      }
-      nn::zero_pad_columns(ws.input, w);
-      const nn::MatrixT<T>& est = model.estimate_columns(ws.input, ws);
-      for (std::size_t i = 0; i < w; ++i) {
-        store(begin + i, clamp_soc(static_cast<double>(est(0, i))));
-      }
-    }
-  }
-
-  /// One batched Branch-2 prediction of n columns: row(i) returns column
-  /// i's Branch2Row, and store(i, soc) receives its clamped prediction.
-  /// Columns run in nn::kColumnsTile-wide tiles: each tile's rows are
-  /// staged before that tile's forward, so store(i) may overwrite only
-  /// state that row(i) reads — never a later column's.
-  template <typename T, typename Rows, typename Store>
-  SOCPINN_HOT void predict(const core::TwoBranchSnapshotT<T>& model,
+  /// One batched forward of `branch` over n columns: column(i) returns
+  /// column i's raw features as a std::array<double, F> (F = 3 sensors for
+  /// Branch 1, 4 for Branch 2), and store(i, soc) receives its clamped
+  /// output. Columns run in nn::kColumnsTile-wide tiles, each staged,
+  /// forwarded and written back before the next is staged, so store(i)
+  /// may overwrite only state that column(i) reads — never a later
+  /// column's. Both branches share the workspace's one input panel and
+  /// one set of layer panels, which is safe because forward never returns
+  /// before its last write-back.
+  template <typename T, typename Column, typename Store>
+  SOCPINN_HOT void forward(const core::BranchSnapshotT<T>& branch,
                            core::InferenceWorkspaceT<T>& ws, std::size_t n,
-                           Rows&& row, Store&& store) const {
+                           Column&& column, Store&& store) const {
+    using Features = std::invoke_result_t<Column&, std::size_t>;
+    constexpr std::size_t kFeatures = std::tuple_size_v<Features>;
     for (std::size_t begin = 0; begin < n; begin += nn::kColumnsTile) {
       const std::size_t w = std::min(nn::kColumnsTile, n - begin);
-      // SOCPINN_HOT_ALLOW(resize): warm capacity after one estimate and one
-      // predict of kColumnsTile columns (test_alloc_free.cpp probes it)
-      ws.input.resize(4, std::max(w, nn::kColumnsMinBatch));
+      // SOCPINN_HOT_ALLOW(resize): warm capacity after one forward of each
+      // branch over kColumnsTile columns (test_alloc_free.cpp probes it)
+      ws.input.resize(kFeatures, std::max(w, nn::kColumnsMinBatch));
       for (std::size_t i = 0; i < w; ++i) {
-        const Branch2Row r = row(begin + i);
-        ws.input(0, i) = static_cast<T>(r.soc);
-        ws.input(1, i) = static_cast<T>(r.avg_current);
-        ws.input(2, i) = static_cast<T>(r.avg_temp_c);
-        ws.input(3, i) = static_cast<T>(r.horizon_s);
+        const Features x = column(begin + i);
+        for (std::size_t f = 0; f < kFeatures; ++f) {
+          ws.input(f, i) = static_cast<T>(x[f]);
+        }
       }
       nn::zero_pad_columns(ws.input, w);
-      const nn::MatrixT<T>& pred = model.predict_columns(ws.input, ws);
+      const nn::MatrixT<T>& out = branch.forward(ws.input, ws);
       for (std::size_t i = 0; i < w; ++i) {
-        store(begin + i, clamp_soc(static_cast<double>(pred(0, i))));
+        store(begin + i, clamp_soc(static_cast<double>(out(0, i))));
       }
     }
   }

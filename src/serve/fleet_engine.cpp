@@ -9,8 +9,8 @@ namespace socpinn::serve {
 
 namespace {
 
-SensorReport sensor_row(const nn::Matrix& sensors_raw, std::size_t r) {
-  return {sensors_raw(r, 0), sensors_raw(r, 1), sensors_raw(r, 2)};
+std::array<double, 3> sensor_row(const nn::Matrix& sensors, std::size_t r) {
+  return {sensors(r, 0), sensors(r, 1), sensors(r, 2)};
 }
 
 }  // namespace
@@ -67,8 +67,8 @@ void FleetEngine::init_from_sensors(const nn::Matrix& sensors_raw) {
     // Lambdas are analyzed as separate functions with an empty lockset,
     // so every shard body enters the shard-execution role itself.
     const util::RoleGuard shard_scope(shard_exec_);
-    estimate(
-        model, ws, end - begin,
+    forward(
+        model.branch1(), ws, end - begin,
         [&](std::size_t i) { return sensor_row(sensors_raw, begin + i); },
         [&](std::size_t i, double soc) { soc_[begin + i] = soc; });
   });
@@ -89,13 +89,13 @@ void FleetEngine::reseed_from_sensors(std::span<const std::size_t> cells,
   require_finite_rows(sensors_raw.data().data(), sensors_raw.rows(),
                       "FleetEngine::reseed_from_sensors", "sensor row");
   const util::RoleGuard tick(tick_serial_);
-  // One batched estimate on the calling thread, through the same estimate
-  // body a mailbox drain runs — which, with per-column independence, is
+  // One batched Branch-1 forward on the calling thread, through the same
+  // forward a mailbox drain runs — which, with per-column independence, is
   // the whole bitwise drain-equivalence argument.
   on_calling_thread([&](const auto& model, auto& ws) {
     const util::RoleGuard shard_scope(shard_exec_);
-    estimate(
-        model, ws, cells.size(),
+    forward(
+        model.branch1(), ws, cells.size(),
         [&](std::size_t i) { return sensor_row(sensors_raw, i); },
         [&](std::size_t i, double soc) { soc_[cells[i]] = soc; });
   });
@@ -189,6 +189,8 @@ void FleetEngine::set_soc(std::span<const double> soc) {
   if (soc.size() != num_cells()) {
     throw std::invalid_argument("FleetEngine::set_soc: size mismatch");
   }
+  require_finite_rows(soc.data(), soc.size(), "FleetEngine::set_soc",
+                      "SoC for cell", 1);
   const util::RoleGuard tick(tick_serial_);
   // Direct seeding honors the same clamping knob as every other
   // seeding/serving path (init_from_sensors, step, tick).
@@ -240,7 +242,8 @@ SOCPINN_HOT void FleetEngine::drain_shard(ShardScratch& scratch,
         scratch.pending.push_back(cell);
         // SOCPINN_HOT_ALLOW(push_back): reserved to the shard's width at
         // construction, bounded by end - begin
-        scratch.reports.push_back(report);
+        scratch.reports.push_back({report.voltage, report.current,
+                                   report.temp_c});
       } else {
         dropped_sensor_reports_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -265,19 +268,19 @@ SOCPINN_HOT void FleetEngine::tick_shards(WorkloadRows rows) {
     // Branch-2 SoC input, and a drained override must replace this tick's
     // workload row.
     drain_shard(scratch, begin, end);
-    estimate(
-        model, ws, scratch.pending.size(),
+    forward(
+        model.branch1(), ws, scratch.pending.size(),
         [&](std::size_t i) { return scratch.reports[i]; },
         [&](std::size_t i, double soc) { soc_[scratch.pending[i]] = soc; });
     // Physics-only cells ride the panel (their columns are computed and
     // discarded) and advance in the write-back instead, with Eq. 1 from
     // their own params in f64: the cell's SoC is still the value its
     // column staged, so Eq. 1 sees the true state, not an NN output.
-    predict(
-        model, ws, end - begin,
+    forward(
+        model.branch2(), ws, end - begin,
         [&](std::size_t i) {
           const WorkloadOverride w = workload_of(begin + i, rows);
-          return Branch2Row{soc_[begin + i], w.avg_current, w.avg_temp_c,
+          return std::array{soc_[begin + i], w.avg_current, w.avg_temp_c,
                             w.horizon_s};
         },
         [&](std::size_t i, double soc) {

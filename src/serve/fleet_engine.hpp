@@ -53,6 +53,7 @@
 ///     construction, so the caller's net may be retrained or freed
 ///     immediately.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -112,7 +113,7 @@ struct FleetConfig {
   /// constants bitwise; per-cell values diverge later via set_cell_params
   /// or mailbox param updates. Must satisfy core::is_valid (validated at
   /// construction).
-  core::CellParams default_params;
+  core::CellParams default_params{};
 };
 
 /// Model ownership and hot-swap (swap_model, model), simd_isa() and
@@ -151,7 +152,9 @@ class FleetEngine : public EngineCore {
 
   /// Directly seeds the per-cell SoC state (size num_cells). Honors the
   /// clamp_soc knob exactly like init_from_sensors: out-of-range values
-  /// are clamped into [0, 1] unless clamping is disabled.
+  /// are clamped into [0, 1] unless clamping is disabled. A NaN or Inf
+  /// value is rejected whole with std::invalid_argument naming the cell,
+  /// before any state changes.
   void set_soc(std::span<const double> soc);
 
   /// Advances every cell by one tick: row i of `workload_raw`
@@ -260,7 +263,7 @@ class FleetEngine : public EngineCore {
   /// construction.
   struct alignas(64) ShardScratch {
     std::vector<std::size_t> pending;   ///< cells with a fresh sensor report
-    std::vector<SensorReport> reports;  ///< their drained payloads
+    std::vector<std::array<double, 3>> reports;  ///< their [V, I, T] rows
   };
 
   /// The workload rows one tick advances under: cell c's row starts at
@@ -288,7 +291,7 @@ class FleetEngine : public EngineCore {
   /// cell, consumes a param update and then a workload override into the
   /// per-cell tables, then gathers a valid pending sensor report into
   /// scratch.pending / scratch.reports for the tick's Branch-1 re-seed —
-  /// the same estimate body init_from_sensors and reseed_from_sensors run,
+  /// the same Branch-1 forward init_from_sensors and reseed_from_sensors run,
   /// which (with per-column independence) is the whole bitwise
   /// drain-equivalence argument. Allocation-free: the staging is reserved
   /// at construction.

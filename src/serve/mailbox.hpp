@@ -23,9 +23,9 @@
 ///     drain supersedes the previous one, which is exactly the semantics
 ///     a fresh sensor report or a revised workload forecast wants.
 ///   * No torn reads, ever: the seqlock sequence check rejects any read
-///     that overlapped a publish (payload fields are accessed through
-///     relaxed std::atomic_ref, so the protocol is also data-race-free
-///     under TSan, not just on x86).
+///     that overlapped a publish (payload fields are release-stored and
+///     acquire-loaded through std::atomic_ref, so the protocol is also
+///     data-race-free under TSan, not just on x86).
 ///
 /// Shared-memory transport: MailboxSlot is a trivially-copyable,
 /// 64-byte-aligned plain struct — no std::atomic members, no vtable, no
@@ -144,13 +144,18 @@ struct IngestStats {
 
 namespace detail {
 
-/// Single-writer seqlock over three doubles. Writer protocol: bump the
-/// sequence to odd (write in progress), release-fence, store the payload,
+/// Single-writer seqlock over three doubles, ordered by its own accesses
+/// (no standalone fence; Boehm, "Can Seqlocks Get Along with Programming
+/// Language Memory Models?", MSPC 2012). Writer protocol: bump the
+/// sequence to odd (write in progress), release-store the payload,
 /// release-store the even sequence. Reader protocol: acquire-load the
-/// sequence, reject odd, read the payload, acquire-fence, re-load the
-/// sequence and reject a change.
+/// sequence, reject odd, acquire-load the payload, re-load the sequence
+/// and reject a change. A reader whose acquire load sees a payload word of
+/// a newer publish also sees that publish's odd bump on its re-load, so a
+/// torn read is always rejected. On x86 every one of these accesses is a
+/// plain move.
 ///
-/// The members are PLAIN scalars; every access goes through a relaxed
+/// The members are PLAIN scalars; every access goes through a
 /// std::atomic_ref — semantically identical to the std::atomic members
 /// this slot used to hold (race-free by construction, TSan-clean, portable
 /// C++ instead of x86 folklore), but the struct itself stays trivially
@@ -162,10 +167,9 @@ struct SeqlockSlot3 {
     const std::atomic_ref<std::uint64_t> seq(seq_);
     const std::uint64_t s = seq.load(std::memory_order_relaxed);
     seq.store(s + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    std::atomic_ref<double>(a_).store(a, std::memory_order_relaxed);
-    std::atomic_ref<double>(b_).store(b, std::memory_order_relaxed);
-    std::atomic_ref<double>(c_).store(c, std::memory_order_relaxed);
+    std::atomic_ref<double>(a_).store(a, std::memory_order_release);
+    std::atomic_ref<double>(b_).store(b, std::memory_order_release);
+    std::atomic_ref<double>(c_).store(c, std::memory_order_release);
     seq.store(s + 2, std::memory_order_release);
   }
 
@@ -180,10 +184,9 @@ struct SeqlockSlot3 {
     const std::atomic_ref<std::uint64_t> seq(self->seq_);
     const std::uint64_t s1 = seq.load(std::memory_order_acquire);
     if (s1 == cursor || (s1 & 1u) != 0) return false;
-    out[0] = std::atomic_ref<double>(self->a_).load(std::memory_order_relaxed);
-    out[1] = std::atomic_ref<double>(self->b_).load(std::memory_order_relaxed);
-    out[2] = std::atomic_ref<double>(self->c_).load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    out[0] = std::atomic_ref<double>(self->a_).load(std::memory_order_acquire);
+    out[1] = std::atomic_ref<double>(self->b_).load(std::memory_order_acquire);
+    out[2] = std::atomic_ref<double>(self->c_).load(std::memory_order_acquire);
     if (seq.load(std::memory_order_relaxed) != s1) return false;
     cursor = s1;
     return true;

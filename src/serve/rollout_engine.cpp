@@ -1,5 +1,6 @@
 #include "serve/rollout_engine.hpp"
 
+#include <array>
 #include <stdexcept>
 #include <string>
 
@@ -139,7 +140,7 @@ SOCPINN_HOT void RolloutEngine::roll_shard(
     const core::TwoBranchSnapshotT<T>& model, core::InferenceWorkspaceT<T>& ws,
     ShardScratch& s, std::span<const RolloutLane> lanes,
     std::span<core::Rollout> out, std::size_t begin, std::size_t end) {
-  // Every NN forward is a padded panel (EngineCore::estimate / predict):
+  // Every NN forward is a padded panel (EngineCore::forward):
   // a ragged tail never crawls through a kernel's scalar remainder. Lane
   // SoC state and trajectories stay f64 (they are API surface); only the
   // panel arithmetic runs at T.
@@ -152,11 +153,11 @@ SOCPINN_HOT void RolloutEngine::roll_shard(
   s.soc.resize(count);
   // Seed: one batched Branch-1 estimate over the shard's lanes —
   // the only time voltage is consumed (Fig. 2 discipline).
-  estimate(
-      model, ws, count,
+  forward(
+      model.branch1(), ws, count,
       [&](std::size_t i) {
         const data::WorkloadSchedule& sched = schedule(i);
-        return SensorReport{sched.voltage0, sched.current0, sched.temp0};
+        return std::array{sched.voltage0, sched.current0, sched.temp0};
       },
       [&](std::size_t i, double seed) {
         const data::WorkloadSchedule& sched = schedule(i);
@@ -212,14 +213,14 @@ SOCPINN_HOT void RolloutEngine::roll_shard(
     // timestamp and feeds this same step's Branch-2 / Eq. 1 input. A plan
     // step is < num_steps, so every firing lane is still alive and its
     // trajectory's last entry is the point at times_s[step].
-    estimate(
-        model, ws, s.pending.size(),
+    forward(
+        model.branch1(), ws, s.pending.size(),
         [&](std::size_t g) {
           const std::size_t i = s.pending[g];
           const data::ReanchorPlan& plan = *lanes[begin + i].reanchor;
           const std::size_t row = s.plan_pos[i] - 1;
-          return SensorReport{plan.sensors(row, 0), plan.sensors(row, 1),
-                              plan.sensors(row, 2)};
+          return std::array{plan.sensors(row, 0), plan.sensors(row, 1),
+                            plan.sensors(row, 2)};
         },
         [&](std::size_t g, double soc) {
           const std::size_t i = s.pending[g];
@@ -227,12 +228,12 @@ SOCPINN_HOT void RolloutEngine::roll_shard(
           out[begin + i].soc.back() = soc;
         });
 
-    predict(
-        model, ws, active,
+    forward(
+        model.branch2(), ws, active,
         [&](std::size_t g) {
           const std::size_t i = s.gather[g];
           const data::WorkloadSchedule& sched = schedule(i);
-          return Branch2Row{s.soc[i], sched.workload(step, 0),
+          return std::array{s.soc[i], sched.workload(step, 0),
                             sched.workload(step, 1), sched.workload(step, 2)};
         },
         [&](std::size_t g, double soc) {

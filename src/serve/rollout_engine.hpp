@@ -157,7 +157,7 @@ class RolloutEngine : public EngineCore {
   };
 
   /// One shard of run_into: the seed, every re-anchor and every step is
-  /// one EngineCore::estimate / predict panel through the snapshot at T.
+  /// one EngineCore::forward of a snapshot branch at T.
   template <typename T>
   void roll_shard(const core::TwoBranchSnapshotT<T>& model,
                   core::InferenceWorkspaceT<T>& ws, ShardScratch& s,

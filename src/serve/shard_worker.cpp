@@ -159,8 +159,6 @@ void shard_worker_main(const ShardWorkerContext& ctx) {
           .store(stats.dropped_workload_overrides, std::memory_order_relaxed);
       std::atomic_ref<std::uint64_t>(h.dropped_param_updates)
           .store(stats.dropped_param_updates, std::memory_order_relaxed);
-      std::atomic_ref<std::uint64_t>(h.engine_ticks)
-          .store(engine->ticks(), std::memory_order_relaxed);
       std::atomic_ref<std::uint64_t>(h.model_version_adopted)
           .store(model_version, std::memory_order_relaxed);
     } catch (const std::exception& e) {

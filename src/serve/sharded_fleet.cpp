@@ -159,27 +159,36 @@ void ShardedFleet::post(Worker& w, WorkerCommand cmd) {
       .store(w.seq, std::memory_order_release);
 }
 
-void ShardedFleet::wait_ack(Worker& w) {
+bool ShardedFleet::wait_ack(Worker& w) {
   const std::atomic_ref<std::uint64_t> ack(w.header->ack_seq);
-  if (!wait_until(
-          [&] { return ack.load(std::memory_order_acquire) == w.seq; },
-          [&] { return !worker_exited(w.pid); })) {
-    w.reaped = true;
-    throw std::runtime_error("ShardedFleet: worker " +
-                             std::to_string(w.shard.index) +
-                             " died before acknowledging a command");
+  if (wait_until([&] { return ack.load(std::memory_order_acquire) == w.seq; },
+                 [&] { return !worker_exited(w.pid); })) {
+    return true;
   }
+  w.reaped = true;
+  return false;
 }
 
 void ShardedFleet::broadcast(WorkerCommand cmd) {
   for (Worker& w : workers_) post(w, cmd);
-  for (Worker& w : workers_) wait_ack(w);
-  for (const Worker& w : workers_) {
-    if (w.header->status != 0) {
-      throw std::runtime_error("ShardedFleet: worker " +
-                               std::to_string(w.shard.index) + ": " +
-                               w.header->error_msg);
+  // Every worker acks or dies before anything is raised, so no live
+  // worker is still running this command when the caller regains control
+  // (and restages input rows). The lowest-index failure wins, as in
+  // ThreadPool::parallel_for.
+  std::string failure;
+  for (Worker& w : workers_) {
+    const bool acked = wait_ack(w);
+    if (!failure.empty()) continue;
+    if (!acked) {
+      failure = "worker " + std::to_string(w.shard.index) +
+                " died before acknowledging a command";
+    } else if (w.header->status != 0) {
+      failure = "worker " + std::to_string(w.shard.index) + ": " +
+                w.header->error_msg;
     }
+  }
+  if (!failure.empty()) {
+    throw std::runtime_error("ShardedFleet: " + failure);
   }
 }
 
@@ -202,6 +211,8 @@ void ShardedFleet::set_soc(std::span<const double> soc) {
   if (soc.size() != num_cells()) {
     throw std::invalid_argument("ShardedFleet::set_soc: size mismatch");
   }
+  require_finite_rows(soc.data(), num_cells(), "ShardedFleet::set_soc",
+                      "SoC for cell", 1);
   const util::RoleGuard cmd(cmd_serial_);
   std::memcpy(soc_, soc.data(), num_cells() * sizeof(double));
   broadcast(WorkerCommand::kSetSoc);

@@ -37,9 +37,10 @@
 /// workers and waiting for every ack (with waitpid liveness checks, so a
 /// crashed worker raises instead of hanging). Workers write SoC where
 /// soc() reads it. Worker errors surface as std::runtime_error naming the
-/// worker. Like FleetEngine's tick-path methods, commands must come from
-/// one thread; publish_* and model_version() are safe from any thread at
-/// any time.
+/// lowest-index failed worker, raised only once every live worker has
+/// acked the command. Like FleetEngine's tick-path methods, commands must
+/// come from one thread; publish_* and model_version() are safe from any
+/// thread at any time.
 
 #include <sys/types.h>
 
@@ -72,7 +73,7 @@ struct ShardedFleetConfig {
   /// parameters each cell starts with until publish_params replaces its
   /// own (same default as the single-process engine, so the bitwise
   /// parity contract extends to the param plane).
-  core::CellParams default_params;
+  core::CellParams default_params{};
   /// Optional allocation probe forwarded to every worker (see
   /// ShardWorkerContext::alloc_counter); exposed back per worker through
   /// worker_allocs_last_command().
@@ -103,7 +104,9 @@ class ShardedFleet {
   void init_from_sensors(const nn::Matrix& sensors_raw);
 
   /// Directly seeds per-cell SoC (size num_cells; clamped by workers
-  /// under clamp_soc, like FleetEngine::set_soc).
+  /// under clamp_soc, like FleetEngine::set_soc). Non-finite values are
+  /// rejected whole with std::invalid_argument naming the cell BEFORE any
+  /// worker sees the batch.
   void set_soc(std::span<const double> soc);
 
   /// One fleet tick: row i of `workload_raw` (num_cells x 3) drives cell
@@ -182,11 +185,13 @@ class ShardedFleet {
   /// header) — release-stores cmd_seq.
   void post(Worker& w, WorkerCommand cmd) SOCPINN_REQUIRES(cmd_serial_);
   /// Blocks until `w` acks its outstanding command, with waitpid
-  /// liveness checks; throws if the worker process died.
-  void wait_ack(Worker& w) SOCPINN_REQUIRES(cmd_serial_);
-  /// Posts `cmd` to every worker, waits for every ack, then raises the
-  /// first worker-reported error (all acks are collected BEFORE
-  /// throwing, so the channel stays in sync).
+  /// liveness checks; returns false (and marks `w` reaped) if the worker
+  /// process died first.
+  bool wait_ack(Worker& w) SOCPINN_REQUIRES(cmd_serial_);
+  /// Posts `cmd` to every worker and waits until each one has acked or
+  /// died, then raises the lowest-index failure (a dead worker or a
+  /// worker-reported error). Nothing is raised while a live worker still
+  /// runs the command, so the channel stays in sync.
   void broadcast(WorkerCommand cmd) SOCPINN_REQUIRES(cmd_serial_);
 
   /// Phantom command-surface capability (see util::ThreadRole): the

@@ -64,7 +64,6 @@ std::string shm_layout_manifest() {
   SOCPINN_LAYOUT_FIELD(out, WorkerHeader, dropped_sensor_reports);
   SOCPINN_LAYOUT_FIELD(out, WorkerHeader, dropped_workload_overrides);
   SOCPINN_LAYOUT_FIELD(out, WorkerHeader, dropped_param_updates);
-  SOCPINN_LAYOUT_FIELD(out, WorkerHeader, engine_ticks);
   SOCPINN_LAYOUT_FIELD(out, WorkerHeader, model_version_adopted);
   SOCPINN_LAYOUT_FIELD(out, WorkerHeader, allocs_last_command);
   SOCPINN_LAYOUT_FIELD(out, WorkerHeader, error_msg);

@@ -6,6 +6,7 @@
 #include <time.h>  // NOLINT(modernize-deprecated-headers): POSIX nanosleep
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -92,8 +93,17 @@ ShmSegment& ShmSegment::operator=(ShmSegment&& other) noexcept {
   return *this;
 }
 
+namespace {
+
+constexpr std::size_t kWord = sizeof(std::uint64_t);
+
+/// Whole words covering `bytes`: the blob moves word by word.
+std::size_t words_for(std::size_t bytes) { return (bytes + kWord - 1) / kWord; }
+
+}  // namespace
+
 ModelRegion::ModelRegion(std::size_t capacity)
-    : segment_(sizeof(ModelRegionHeader) + capacity) {
+    : segment_(sizeof(ModelRegionHeader) + words_for(capacity) * kWord) {
   std::atomic_ref<std::uint64_t>(header()->capacity)
       .store(capacity, std::memory_order_relaxed);
 }
@@ -108,10 +118,15 @@ void ModelRegion::publish(const std::string& blob) {
   const std::atomic_ref<std::uint64_t> seq(h->seq);
   const std::uint64_t s = seq.load(std::memory_order_relaxed);
   seq.store(s + 1, std::memory_order_relaxed);  // odd: publish in flight
-  std::atomic_thread_fence(std::memory_order_release);
-  std::memcpy(this->blob(), blob.data(), blob.size());
+  for (std::size_t w = 0; w < words_for(blob.size()); ++w) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, blob.data() + w * kWord,
+                std::min(kWord, blob.size() - w * kWord));
+    std::atomic_ref<std::uint64_t>(words()[w]).store(
+        word, std::memory_order_release);
+  }
   std::atomic_ref<std::uint64_t>(h->size).store(blob.size(),
-                                                std::memory_order_relaxed);
+                                                std::memory_order_release);
   seq.store(s + 2, std::memory_order_release);
 }
 
@@ -129,10 +144,16 @@ std::uint64_t ModelRegion::read_if_newer(std::uint64_t seen_version,
     const std::uint64_t s1 = seq.load(std::memory_order_acquire);
     if ((s1 & 1u) != 0) continue;  // publish in flight: wait it out
     if (s1 / 2 == seen_version) return seen_version;
-    const std::uint64_t size = std::atomic_ref<std::uint64_t>(h->size).load(
-        std::memory_order_relaxed);
-    out.assign(blob(), size);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // A torn size is still one some publish stored, so at most capacity.
+    const std::size_t size = std::atomic_ref<std::uint64_t>(h->size).load(
+        std::memory_order_acquire);
+    out.resize(size);
+    for (std::size_t w = 0; w < words_for(size); ++w) {
+      const std::uint64_t word = std::atomic_ref<std::uint64_t>(words()[w])
+                                     .load(std::memory_order_acquire);
+      std::memcpy(out.data() + w * kWord, &word,
+                  std::min(kWord, size - w * kWord));
+    }
     if (seq.load(std::memory_order_relaxed) == s1) return s1 / 2;
     // A racing publish tore the copy; re-read — the writer only publishes
     // on hot-swap, so this terminates immediately in practice.

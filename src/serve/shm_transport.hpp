@@ -126,7 +126,6 @@ struct alignas(64) WorkerHeader {
   std::uint64_t dropped_sensor_reports = 0;    ///< engine IngestStats export
   std::uint64_t dropped_workload_overrides = 0;
   std::uint64_t dropped_param_updates = 0;
-  std::uint64_t engine_ticks = 0;           ///< engine.ticks() after command
   std::uint64_t model_version_adopted = 0;  ///< ModelRegion version in use
   std::uint64_t allocs_last_command = 0;    ///< alloc-hook delta, 0 if unset
   char error_msg[160] = {};  ///< NUL-terminated when status == 1
@@ -274,8 +273,10 @@ class ModelRegion {
   [[nodiscard]] ModelRegionHeader* header() const {
     return segment_.at<ModelRegionHeader>(0);
   }
-  [[nodiscard]] char* blob() const {
-    return segment_.at<char>(sizeof(ModelRegionHeader));
+  /// The blob, as whole words: each is copied through an atomic_ref, so a
+  /// reader racing a publish reads stale or new words, never a data race.
+  [[nodiscard]] std::uint64_t* words() const {
+    return segment_.at<std::uint64_t>(sizeof(ModelRegionHeader));
   }
 
   ShmSegment segment_;

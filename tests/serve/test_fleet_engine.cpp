@@ -183,6 +183,22 @@ TEST(FleetEngine, ValidatesShapes) {
   EXPECT_THROW(engine.run(schedule), std::invalid_argument);
   schedule.workload = nn::Matrix(3, 2);
   EXPECT_THROW(engine.run(schedule), std::invalid_argument);
+  // Seeded SoC values too: clamping maps NaN to NaN, and a NaN SoC would
+  // read back as a finite, wrong value after the next cascade tick.
+  std::vector<double> bad_soc(8, 0.5);
+  bad_soc[6] = kNaN;
+  try {
+    engine.set_soc(bad_soc);
+    FAIL() << "expected the non-finite SoC to be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("cell 6"), std::string::npos)
+        << e.what();
+  }
+  bad_soc[6] = 0.5;
+  bad_soc[0] = kInf;
+  EXPECT_THROW(engine.set_soc(bad_soc), std::invalid_argument);
+  bad_soc[0] = -kInf;
+  EXPECT_THROW(engine.set_soc(bad_soc), std::invalid_argument);
   EXPECT_EQ(engine.ticks(), 0u);
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(engine.soc()[i], before[i]) << "cell " << i;

@@ -26,6 +26,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/fleet_engine.hpp"
@@ -127,6 +128,14 @@ TEST(ModelRegion, PublishesVersionedBlobsReadableByVersion) {
   EXPECT_EQ(out, "second, longer model blob");
 
   EXPECT_THROW(region.publish(std::string(2048, 'x')), std::invalid_argument);
+
+  // The blob moves in whole words; a capacity that is not a multiple of
+  // the word size still holds a blob of exactly that size.
+  ModelRegion odd(13);
+  odd.publish("thirteen byte");
+  EXPECT_EQ(odd.read_if_newer(0, out), 1u);
+  EXPECT_EQ(out, "thirteen byte");
+  EXPECT_THROW(odd.publish("fourteen bytes"), std::invalid_argument);
 }
 
 /// Drives the same command sequence against both engines. The sequence
@@ -410,6 +419,20 @@ TEST(ShardedFleet, ValidatesArgumentsBeforeAnyWorkerSeesThem) {
   EXPECT_THROW(fleet.step(bad_workload), std::invalid_argument);
   EXPECT_THROW(fleet.run(-2.0, kNaN, 60.0, 2), std::invalid_argument);
   EXPECT_THROW(fleet.run(-2.0, 25.0, kInf, 2), std::invalid_argument);
+  // Seeded SoC values are checked in the parent too.
+  std::vector<double> bad_soc(16, 0.5);
+  bad_soc[9] = kNaN;
+  try {
+    fleet.set_soc(bad_soc);
+    FAIL() << "expected the non-finite SoC to be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("cell 9"), std::string::npos);
+  }
+  bad_soc[9] = 0.5;
+  bad_soc[15] = kInf;
+  EXPECT_THROW(fleet.set_soc(bad_soc), std::invalid_argument);
+  bad_soc[15] = -kInf;
+  EXPECT_THROW(fleet.set_soc(bad_soc), std::invalid_argument);
   EXPECT_EQ(fleet.ticks(), 0u);
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_EQ(fleet.soc()[i], before[i]) << "cell " << i;
@@ -518,6 +541,97 @@ TEST(ShardedFleet, DiagnosesAWorkerThatDiedMidRun) {
                 ? "killed by signal " + std::to_string(WTERMSIG(status))
                 : "exit status " + std::to_string(WEXITSTATUS(status)));
   }
+}
+
+/// In a 2-worker fleet of 64 cells that has stepped once, stops worker 1,
+/// SIGKILLs worker 0 and continues worker 1 300 ms later. The next step
+/// must throw naming worker 0, and only once worker 1 has finished it:
+/// worker 1's slice of soc() then equals a reference FleetEngine's.
+/// Call it from a single-threaded process. Returns what went wrong, or ""
+/// on success.
+std::string fail_a_command_under_a_stopped_worker() {
+  const core::TwoBranchNet net = testing::make_fitted_net(21);
+  util::Rng rng(5);
+  const nn::Matrix sensors = testing::random_sensors(64, rng);
+  const nn::Matrix w1 = testing::random_workload(64, rng);
+  const nn::Matrix w2 = testing::random_workload(64, rng);
+  FleetEngine reference(net, 64, {.threads = 1});
+  reference.init_from_sensors(sensors);
+  reference.step(w1);
+  reference.step(w2);
+
+  ShardedFleetConfig config;
+  config.workers = 2;
+  ShardedFleet fleet(net, 64, config);
+  fleet.init_from_sensors(sensors);
+  fleet.step(w1);
+  const std::vector<pid_t> workers = child_pids();
+  if (workers.size() != 2) {
+    return "expected 2 worker pids, read " + std::to_string(workers.size());
+  }
+  ::kill(workers[1], SIGSTOP);
+  int status = 0;
+  if (::waitpid(workers[1], &status, WUNTRACED) != workers[1] ||
+      !WIFSTOPPED(status)) {
+    return "worker 1 did not stop";
+  }
+  ::kill(workers[0], SIGKILL);
+  std::thread waker([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    ::kill(workers[1], SIGCONT);
+  });
+  std::string failure;
+  try {
+    fleet.step(w2);
+    failure = "the step after the kill did not throw";
+  } catch (const std::runtime_error& e) {
+    if (std::string(e.what()).find("worker 0") == std::string::npos) {
+      failure = std::string("the error does not name worker 0: ") + e.what();
+    }
+  }
+  // Compared before the join: once the waker has run, worker 1 could
+  // finish the step after the throw and hide an early one.
+  const Shard shard = fleet.shards()[1];
+  for (std::size_t c = shard.begin; c < shard.end && failure.empty(); ++c) {
+    if (std::memcmp(&fleet.soc()[c], &reference.soc()[c], sizeof(double)) !=
+        0) {
+      failure = "cell " + std::to_string(c) +
+                " of worker 1 does not hold the failed step's SoC: the "
+                "error was raised while worker 1 was still running it";
+    }
+  }
+  waker.join();
+  return failure;
+}
+
+TEST(ShardedFleet, FailedCommandWaitsForEveryLiveWorker) {
+  SOCPINN_SKIP_IF_NO_FORK();
+  // A command that fails on one worker must not return while another is
+  // still running it: the caller's next command would restage the input
+  // rows under it. Runs in a forked child under alarm(20), so a hang
+  // fails the test instead of ctest.
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::alarm(20);
+    std::string failure;
+    try {
+      failure = fail_a_command_under_a_stopped_worker();
+    } catch (const std::exception& e) {
+      failure = std::string("unexpected exception: ") + e.what();
+    }
+    if (!failure.empty()) std::fprintf(stderr, "%s\n", failure.c_str());
+    std::fflush(stderr);
+    ::_exit(failure.empty() ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << (WIFSIGNALED(status)
+              ? "killed by signal " + std::to_string(WTERMSIG(status))
+              : "exit status " + std::to_string(WEXITSTATUS(status)));
 }
 
 /// Makes the calling process a subreaper, then builds a 1-worker fleet in

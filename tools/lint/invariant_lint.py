@@ -42,8 +42,13 @@ Checks (names usable in waiver comments and reports):
   seqlock-discipline
                  the single-writer seqlock protocol in serve/:
                  (a) every odd sequence bump (`store(s + 1, ...)`) is
-                 followed, in the same function body, by a release fence
-                 and the matching even store (`store(s + 2, ...)`);
+                 followed, in the same function body, by the matching
+                 even store (`store(s + 2, ...)`), and every store
+                 between the two — the payload, at least one — spells
+                 memory_order_release. A standalone fence does not
+                 count: the payload's own release stores order it after
+                 the odd bump, and ThreadSanitizer models them, where it
+                 does not model atomic_thread_fence;
                  (b) every even store spells memory_order_release;
                  (c) a slot publish call (`.publish(...)`, `.publish_*`)
                  may only appear inside a function whose own name starts
@@ -373,8 +378,8 @@ def check_hot_alloc(rel: str, text: str, masked: str,
 
 SEQ_ODD_STORE = re.compile(r"(?:\.|->)\s*store\s*\(\s*(\w+)\s*\+\s*1\s*,")
 SEQ_EVEN_STORE = re.compile(r"(?:\.|->)\s*store\s*\(\s*(\w+)\s*\+\s*2\s*,")
-RELEASE_FENCE = re.compile(
-    r"\batomic_thread_fence\s*\(\s*(?:std\s*::\s*)?memory_order_release")
+STORE_CALL = re.compile(r"(?:\.|->)\s*store\s*\(")
+RELEASE_ORDER = re.compile(r"\bmemory_order_release\b")
 PUBLISH_CALL = re.compile(r"(?:\.|->)\s*(publish\w*)\s*\(")
 SEQLOCK_WRITER = re.compile(
     r"SOCPINN_SEQLOCK_WRITER\(\s*([^)]+?)\s*\)\s*:\s*(\S.*)")
@@ -461,6 +466,12 @@ def writer_waived(lineno: int, comments: dict[int, str],
     return False
 
 
+def call_args(text: str, m: re.Match) -> str:
+    """The balanced argument list of the call whose name `m` matched."""
+    paren = text.index("(", m.start())
+    return text[paren:balance(text, paren, "(", ")")]
+
+
 def check_seqlock_discipline(rel: str, text: str, masked: str,
                              comments: dict[int, str]) -> list[tuple]:
     findings = []
@@ -470,30 +481,30 @@ def check_seqlock_discipline(rel: str, text: str, masked: str,
         if ln <= len(masked_lines) and not masked_lines[ln - 1].strip()}
     spans = function_spans(masked)
 
-    # (a) odd bump -> release fence -> matching even store, in order,
-    # inside the same function body (the writer's critical section).
+    # (a) odd bump -> payload stores, each a release -> matching even
+    # store, inside the same function body (the writer's critical section).
     for m in SEQ_ODD_STORE.finditer(masked):
         var = m.group(1)
         here = enclosing_function(spans, m.start())
         tail = masked[m.end():here[2]] if here else masked[m.end():]
-        fence = RELEASE_FENCE.search(tail)
         even = re.compile(
             r"(?:\.|->)\s*store\s*\(\s*" + re.escape(var) +
             r"\s*\+\s*2\s*,").search(tail)
-        if not fence or not even or even.start() < fence.start():
+        window = tail[:even.start()] if even else ""
+        stores = [call_args(window, c) for c in STORE_CALL.finditer(window)]
+        if not stores or not all(RELEASE_ORDER.search(a) for a in stores):
             findings.append((
                 rel, line_of(masked, m.start()), "seqlock-discipline",
                 f"odd seqlock bump store({var} + 1, ...) without a "
-                f"following std::atomic_thread_fence(memory_order_release) "
-                f"and matching store({var} + 2, ...) in the same function "
-                f"— readers could observe payload bytes torn across the "
+                f"matching store({var} + 2, ...) in the same function, or "
+                f"with a payload between them that is not written by "
+                f"memory_order_release stores (a fence does not count) — "
+                f"readers could observe payload bytes torn across the "
                 f"unclosed write window"))
 
     # (b) the even (closing) store must itself be a release.
     for m in SEQ_EVEN_STORE.finditer(masked):
-        paren = masked.index("(", m.start())
-        args = masked[paren:balance(masked, paren, "(", ")")]
-        if not re.search(r"\bmemory_order_release\b", args):
+        if not RELEASE_ORDER.search(call_args(masked, m)):
             findings.append((
                 rel, line_of(masked, m.start()), "seqlock-discipline",
                 f"even seqlock store({m.group(1)} + 2, ...) without "

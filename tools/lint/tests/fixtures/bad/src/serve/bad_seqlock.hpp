@@ -15,32 +15,52 @@ namespace fixture {
 struct Slot {
   std::atomic<std::uint64_t> seq{0};
   double payload = 0.0;
+  double extra = 0.0;
 
-  // (a) an odd bump that never closes the write window: no release
-  // fence, no matching even store — readers can observe torn payload.
+  // (a) an odd bump that never closes the write window: no matching even
+  // store — readers can observe torn payload.
   void publish_torn(double v) {
     const std::uint64_t s = seq.load(std::memory_order_relaxed);
     seq.store(s + 1, std::memory_order_relaxed);  // EXPECT seqlock-discipline
-    payload = v;
+    std::atomic_ref<double>(payload).store(v, std::memory_order_release);
   }
 
-  // (a) window "closed" BEFORE the fence: the even store is not ordered
-  // after the payload write, so the protocol is still torn.
-  void publish_unfenced(double v) {
+  // (a) a plain payload write: no release store orders it after the odd
+  // bump, and it races every reader.
+  void publish_plain(double v) {
     const std::uint64_t s = seq.load(std::memory_order_relaxed);
     seq.store(s + 1, std::memory_order_relaxed);  // EXPECT seqlock-discipline
     payload = v;
     seq.store(s + 2, std::memory_order_release);
-    std::atomic_thread_fence(std::memory_order_release);
   }
 
-  // (b) a correctly fenced window whose CLOSING store is relaxed — the
+  // (a) the fenced shape: a release fence with relaxed payload stores.
+  // Correct C++, but ThreadSanitizer does not model the fence, so a
+  // missing or misplaced one would pass the TSan job unnoticed.
+  void publish_fenced(double v) {
+    const std::uint64_t s = seq.load(std::memory_order_relaxed);
+    seq.store(s + 1, std::memory_order_relaxed);  // EXPECT seqlock-discipline
+    std::atomic_thread_fence(std::memory_order_release);
+    std::atomic_ref<double>(payload).store(v, std::memory_order_relaxed);
+    seq.store(s + 2, std::memory_order_release);
+  }
+
+  // (a) one payload word is not a release: a reader acquiring only that
+  // word may miss the odd bump.
+  void publish_half_ordered(double v) {
+    const std::uint64_t s = seq.load(std::memory_order_relaxed);
+    seq.store(s + 1, std::memory_order_relaxed);  // EXPECT seqlock-discipline
+    std::atomic_ref<double>(payload).store(v, std::memory_order_release);
+    std::atomic_ref<double>(extra).store(v, std::memory_order_relaxed);
+    seq.store(s + 2, std::memory_order_release);
+  }
+
+  // (b) a correctly ordered window whose CLOSING store is relaxed — the
   // even value can become visible without publishing the payload.
   void publish_relaxed_close(double v) {
     const std::uint64_t s = seq.load(std::memory_order_relaxed);
     seq.store(s + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    payload = v;
+    std::atomic_ref<double>(payload).store(v, std::memory_order_release);
     seq.store(s + 2, std::memory_order_relaxed);  // EXPECT seqlock-discipline
   }
 };

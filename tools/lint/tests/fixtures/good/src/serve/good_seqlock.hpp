@@ -13,22 +13,21 @@ struct Slot {
   std::atomic<std::uint64_t> seq{0};
   double payload = 0.0;
 
-  // The canonical writer: odd bump (relaxed), release fence, payload,
+  // The canonical writer: odd bump (relaxed), payload release stores,
   // even release store — mailbox.hpp's SeqlockSlot3::publish shape.
   void publish(double v) {
     const std::uint64_t s = seq.load(std::memory_order_relaxed);
     seq.store(s + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    payload = v;
+    std::atomic_ref<double>(payload).store(v, std::memory_order_release);
     seq.store(s + 2, std::memory_order_release);
   }
 
-  // Readers are unconstrained by the writer rules.
-  bool consume(double& out) const {
+  // Readers are unconstrained by the writer rules; this one acquire-loads
+  // the payload, the pairing half of the writer's release stores.
+  bool consume(double& out) {
     const std::uint64_t before = seq.load(std::memory_order_acquire);
     if (before & 1) return false;
-    out = payload;
-    std::atomic_thread_fence(std::memory_order_acquire);
+    out = std::atomic_ref<double>(payload).load(std::memory_order_acquire);
     return seq.load(std::memory_order_relaxed) == before;
   }
 };
@@ -52,8 +51,8 @@ struct Fleet {
   }
 };
 
-// Hot bodies stay on the wait-free side: atomics and fences only.
-SOCPINN_HOT bool hot_poll(const Slot& s, double& out) {
+// Hot bodies stay on the wait-free side: atomics only.
+SOCPINN_HOT bool hot_poll(Slot& s, double& out) {
   return s.consume(out);
 }
 
