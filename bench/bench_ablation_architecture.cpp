@@ -87,7 +87,8 @@ Scores run_config(const data::LgDataset& dataset,
 std::string hidden_label(const std::vector<std::size_t>& hidden) {
   std::string out;
   for (std::size_t i = 0; i < hidden.size(); ++i) {
-    out += (i ? "/" : "") + std::to_string(hidden[i]);
+    if (i) out += '/';
+    out += std::to_string(hidden[i]);
   }
   return out;
 }

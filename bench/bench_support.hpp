@@ -31,6 +31,12 @@ inline std::atomic<std::size_t> g_alloc_count{0};
 inline std::size_t alloc_count() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }
+
+/// std::free behind a call the optimizer does not inline: every operator
+/// delete below is one. Inlined down to a bare free(), GCC pairs it with
+/// the operator new call the pointer came from and reports
+/// -Wmismatched-new-delete.
+[[gnu::noinline]] inline void release(void* p) noexcept { std::free(p); }
 }  // namespace socpinn::benchsupport
 
 void* operator new(std::size_t size) {
@@ -40,10 +46,18 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  socpinn::benchsupport::release(p);
+}
+void operator delete[](void* p) noexcept {
+  socpinn::benchsupport::release(p);
+}
+void operator delete(void* p, std::size_t) noexcept {
+  socpinn::benchsupport::release(p);
+}
+void operator delete[](void* p, std::size_t) noexcept {
+  socpinn::benchsupport::release(p);
+}
 
 // Over-aligned overloads: nn::AlignedAllocator routes every panel and
 // workspace buffer through operator new(size, align_val_t), which must hit
@@ -61,13 +75,17 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept {
+  socpinn::benchsupport::release(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept {
+  socpinn::benchsupport::release(p);
+}
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  socpinn::benchsupport::release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  socpinn::benchsupport::release(p);
 }
 
 namespace socpinn::benchsupport {

@@ -30,10 +30,11 @@ class Mlp;
 /// 1 x out; computes out = W^T * activations + bias (out_features x batch).
 /// The batch axis is the long, unit-stride vectorization axis, which keeps
 /// throughput independent of the (tiny) layer widths. Per output element
-/// the accumulation order is bias first, then k ascending, unfused — the
-/// same order as the training forward's matmul + bias. `out` is resized
-/// with capacity reuse, so the steady state performs no heap allocation,
-/// and must not alias an input.
+/// the accumulation order is bias first, then k ascending, each step one
+/// fused multiply-add (simd.hpp) on every ISA. Training's matmul + bias
+/// stays unfused, so the two forwards agree to a few ulps, not bitwise.
+/// `out` is resized with capacity reuse, so the steady state performs no
+/// heap allocation, and must not alias an input.
 template <typename T>
 void dense_forward_columns(const MatrixT<T>& activations,
                            const MatrixT<T>& weights,

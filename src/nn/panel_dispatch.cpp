@@ -37,8 +37,12 @@ bool always() { return true; }
 constexpr IsaRow kIsas[] = {
     {"scalar", &detail::kScalarKernels, always},
 #if defined(SOCPINN_ENABLE_AVX2)
+    // The AVX2 TU is built with -mfma too: every mul_add there is an FMA.
     {"avx2", &detail::kAvx2Kernels,
-     [] { return __builtin_cpu_supports("avx2") != 0; }},
+     [] {
+       return __builtin_cpu_supports("avx2") != 0 &&
+              __builtin_cpu_supports("fma") != 0;
+     }},
 #else
     {"avx2", nullptr, nullptr},
 #endif

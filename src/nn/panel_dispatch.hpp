@@ -18,9 +18,10 @@
 ///     silently falling back and "passing" a forced-ISA CI job on the
 ///     wrong kernel);
 ///   * every ISA's f64 kernel is bitwise identical to the scalar reference
-///     and f32 within 1 ulp (in practice bitwise; see simd.hpp's unfused
-///     mul_add contract), so dispatch NEVER changes results — only
-///     throughput. Engines stay bitwise thread-count- and ISA-invariant.
+///     and f32 within 1 ulp (in practice bitwise; see simd.hpp's fused
+///     mul_add contract: one correctly rounded FMA per multiply-add on
+///     every path), so dispatch NEVER changes results — only throughput.
+///     Engines stay bitwise thread-count- and ISA-invariant.
 ///
 /// The ISA set is one table: each kernel TU exports its PanelKernels row
 /// and panel_dispatch.cpp holds one row per Isa, so a new ISA is one TU,
@@ -38,7 +39,7 @@ namespace socpinn::nn::simd {
 /// The panel kernel instantiations this dispatcher knows about.
 enum class Isa : int {
   kScalar = 0,  ///< portable template, autovectorized at the build baseline
-  kAvx2 = 1,    ///< explicit 256-bit x86 kernels
+  kAvx2 = 1,    ///< explicit 256-bit x86 kernels (AVX2 + FMA)
   kAvx512 = 2,  ///< explicit 512-bit x86 kernels (AVX-512F)
   kNeon = 3,    ///< explicit 128-bit aarch64 kernels
 };

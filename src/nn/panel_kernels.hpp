@@ -5,14 +5,17 @@
 /// behind nn::dense_forward_columns<T>: at double every f64 inference of
 /// the library and the serve engines, at float the reduced-precision serve
 /// backend. The template defines the panel arithmetic: per element, bias
-/// first then ascending-k unfused multiply-adds (the library compiles with
-/// -ffp-contract=off), and every explicit SIMD instantiation
+/// first then ascending-k FUSED multiply-adds (simd::mul_add, one
+/// std::fma each; the library compiles with -ffp-contract=off, so nothing
+/// else fuses), and every explicit SIMD instantiation
 /// (panel_kernels_simd.hpp) reproduces exactly that sequence lane-by-lane
-/// — bitwise at f64 on every host. At float the same tiles pack twice the
-/// SIMD lanes per register.
+/// with vector FMAs — bitwise on every host, since an FMA is correctly
+/// rounded. At float the same tiles pack twice the SIMD lanes per
+/// register.
 
 #include <cstddef>
 
+#include "nn/simd.hpp"
 #include "util/annotations.hpp"
 
 namespace socpinn::nn::detail {
@@ -38,7 +41,9 @@ SOCPINN_HOT inline void dense_columns_tile(const T* __restrict a, const T* __res
     const T* __restrict a_row = a + k * batch + jt;
     for (int r = 0; r < kOut; ++r) {
       const T wk = w[k * out_f + of + r];
-      for (int j = 0; j < kBatch; ++j) acc[r][j] += wk * a_row[j];
+      for (int j = 0; j < kBatch; ++j) {
+        acc[r][j] = simd::mul_add(wk, a_row[j], acc[r][j]);
+      }
     }
   }
   for (int r = 0; r < kOut; ++r) {
@@ -99,7 +104,8 @@ SOCPINN_HOT __attribute__((noinline, noclone)) void dense_columns_kernel(
       const T ak = a[k * batch + jt];
       const T* __restrict w_row = w + k * out_f;
       for (std::size_t of = 0; of < out_f; ++of) {
-        out[of * batch + jt] += w_row[of] * ak;
+        T& o = out[of * batch + jt];
+        o = simd::mul_add(w_row[of], ak, o);
       }
     }
   }

@@ -1,10 +1,12 @@
 /// \file panel_kernels_avx2.cpp
 /// AVX2 instantiation of the vectorized panel kernel, exported as the
 /// dispatcher's "avx2" row. This TU (and only this TU) is compiled with
-/// -mavx2 on x86 — the rest of the library stays at the build's baseline
-/// ISA — so the row's kernels must only be reached through the runtime
-/// dispatcher after a cpuid check (nn/panel_dispatch.cpp). Guarded by
-/// SOCPINN_ENABLE_AVX2 so the file is an empty TU on other architectures.
+/// -mavx2 -mfma on x86 — the rest of the library stays at the build's
+/// baseline ISA — so the row's kernels must only be reached through the
+/// runtime dispatcher after a cpuid check for both extensions
+/// (nn/panel_dispatch.cpp): every mul_add here is an FMA instruction.
+/// Guarded by SOCPINN_ENABLE_AVX2 so the file is an empty TU on other
+/// architectures.
 
 #if defined(SOCPINN_ENABLE_AVX2)
 

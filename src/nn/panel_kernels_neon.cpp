@@ -4,9 +4,9 @@
 /// base architecture, so no per-file flags are needed —
 /// SOCPINN_ENABLE_NEON is simply defined when CMake targets aarch64, and
 /// compiled implies executable (the dispatcher still routes through the
-/// same table as the x86 ISAs). The unfused mul_add contract of simd.hpp
-/// applies here too: no vmlaq/vfmaq, so f64 results stay bitwise
-/// identical to the scalar reference.
+/// same table as the x86 ISAs). The fused mul_add contract of simd.hpp
+/// applies here too: vfmaq (never vmlaq, which rounds twice), so f64
+/// results stay bitwise identical to the scalar reference's std::fma.
 
 #if defined(SOCPINN_ENABLE_NEON)
 

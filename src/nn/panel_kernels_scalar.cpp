@@ -4,9 +4,11 @@
 /// panel_kernels.hpp, exported as the dispatcher's "scalar" row at both
 /// serve precisions and compiled at the build's baseline ISA (so a NATIVE
 /// build still autovectorizes it — "scalar" means scalar SOURCE, not
-/// scalar code). The library builds with -ffp-contract=off, so this TU's
-/// arithmetic is the exact two-rounding multiply-add sequence the vector
-/// kernels reproduce lane-by-lane.
+/// scalar code). Each multiply-add is one std::fma (simd::mul_add), the
+/// single rounding the vector kernels' FMAs reproduce lane-by-lane: one FMA
+/// instruction where the build's ISA has it, a libm fma/fmaf call per MAC
+/// on a portable build, which is what makes forced-scalar runs slow there.
+/// The library builds with -ffp-contract=off, so nothing else fuses.
 
 #include "nn/panel_dispatch.hpp"
 #include "nn/panel_kernels.hpp"

@@ -6,13 +6,13 @@
 /// ISA's flags). Vectorization is VERTICAL across batch columns — batch is
 /// the unit-stride axis of the feature-major layout and every column is an
 /// independent accumulator chain — so each output element still computes
-/// bias first, then ascending-k unfused multiply-adds, in exactly the
-/// scalar template's order. Column tiling therefore never changes a single
-/// element's rounding sequence: the f64 instantiations are bitwise
-/// identical to detail::dense_columns_kernel<double> at EVERY batch size
-/// (main tile, single-vector pass, scalar remainder alike), and the f32
-/// ones to its float instantiation. tests/nn/test_simd_dispatch.cpp sweeps
-/// batches 1..130 to pin this.
+/// bias first, then ascending-k fused multiply-adds (simd::mul_add), in
+/// exactly the scalar template's order. Column tiling therefore never
+/// changes a single element's rounding sequence: the f64 instantiations are
+/// bitwise identical to detail::dense_columns_kernel<double> at EVERY batch
+/// size (main tile, single-vector pass, scalar remainder alike), and the
+/// f32 ones to its float instantiation. tests/nn/test_simd_dispatch.cpp
+/// sweeps batches 1..130 to pin this.
 
 #include <cstddef>
 
@@ -104,7 +104,8 @@ SOCPINN_HOT void dense_columns_kernel_vec(const typename V::Scalar* __restrict a
     }
   }
   // Remainder columns, one at a time — the scalar template's exact tail
-  // (bias, then one axpy over the outputs per ascending k). A copy rather
+  // (bias, then one fused axpy over the outputs per ascending k; this TU's
+  // flags turn each scalar mul_add into one FMA instruction). A copy rather
   // than a shared inline template: the same symbol in every per-ISA TU
   // would be folded by the linker into one ISA's code.
   for (; jt < batch; ++jt) {
@@ -113,7 +114,8 @@ SOCPINN_HOT void dense_columns_kernel_vec(const typename V::Scalar* __restrict a
       const T ak = a[k * batch + jt];
       const T* __restrict w_row = w + k * out_f;
       for (std::size_t of = 0; of < out_f; ++of) {
-        out[of * batch + jt] += w_row[of] * ak;
+        T& o = out[of * batch + jt];
+        o = simd::mul_add(w_row[of], ak, o);
       }
     }
   }

@@ -28,27 +28,35 @@ void write_matrix(std::ostream& out, const Matrix& m) {
   }
 }
 
+/// Reads n whitespace-separated doubles; throws `truncated` when the stream
+/// runs out first. The buffer grows as values arrive and is never sized
+/// from a count in the file, so a forged header costs no more memory than
+/// the stream actually holds.
+std::vector<double> read_values(std::istream& in, std::size_t n,
+                                const char* truncated) {
+  std::vector<double> values;
+  for (std::size_t i = 0; i < n; ++i) {
+    double v = 0.0;
+    if (!(in >> v)) throw std::runtime_error(truncated);
+    values.push_back(v);
+  }
+  return values;
+}
+
 Matrix read_matrix(std::istream& in) {
   std::size_t rows = 0, cols = 0;
   if (!(in >> rows >> cols)) {
     throw std::runtime_error("load_mlp: bad matrix header");
   }
-  // Checked before the allocation: a wrapped rows * cols would size the
-  // buffer smaller than the read loop below writes.
+  // A wrapped rows * cols would read a few values into a matrix that
+  // claims rows x cols.
   if (rows == 0 || cols == 0 || rows > SIZE_MAX / cols) {
     throw std::runtime_error("load_mlp: bad matrix dimensions " +
                              std::to_string(rows) + " x " +
                              std::to_string(cols));
   }
-  Matrix m(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (!(in >> m(r, c))) {
-        throw std::runtime_error("load_mlp: truncated matrix data");
-      }
-    }
-  }
-  return m;
+  return Matrix(rows, cols,
+                read_values(in, rows * cols, "load_mlp: truncated matrix data"));
 }
 
 }  // namespace
@@ -129,13 +137,9 @@ StandardScaler load_scaler(std::istream& in) {
       version != 1) {
     throw std::runtime_error("load_scaler: bad header");
   }
-  std::vector<double> means(n), stds(n);
-  for (auto& m : means) {
-    if (!(in >> m)) throw std::runtime_error("load_scaler: truncated means");
-  }
-  for (auto& s : stds) {
-    if (!(in >> s)) throw std::runtime_error("load_scaler: truncated stds");
-  }
+  std::vector<double> means =
+      read_values(in, n, "load_scaler: truncated means");
+  std::vector<double> stds = read_values(in, n, "load_scaler: truncated stds");
   return StandardScaler::from_moments(std::move(means), std::move(stds));
 }
 

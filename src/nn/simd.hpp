@@ -5,20 +5,27 @@
 /// specialization per ISA register type (AVX2, AVX-512F, NEON), so ONE
 /// tile body (panel_kernels_simd.hpp) serves every ISA.
 ///
-/// Parity contract: mul_add is deliberately UNFUSED — a vector multiply
-/// followed by a vector add, two roundings, exactly the scalar template's
-/// `acc += wk * a` under -ffp-contract=off (which the build applies
-/// globally; see CMakeLists.txt). That is what makes the f64 AVX2 /
-/// AVX-512 / NEON kernels bitwise identical to the scalar reference on
-/// every host, instead of "identical only when the baseline build happens
-/// to contract the same way". Never swap these bodies for fmadd without
-/// revisiting that contract (tests/nn/test_simd_dispatch.cpp pins it).
+/// Parity contract: every mul_add is FUSED — one multiply-add with one
+/// rounding: a vector FMA in each Vec specialization, std::fma in the
+/// scalar overloads beside them, which the scalar reference
+/// (panel_kernels.hpp) and the vector kernels' remainder loops call. An
+/// FMA is correctly rounded, so each lane computes exactly the scalar
+/// reference's std::fma, and the f64 AVX2 / AVX-512 / NEON kernels are
+/// bitwise identical to the scalar reference on every host. The build
+/// keeps -ffp-contract=off globally (see CMakeLists.txt), so the compiler
+/// never fuses on its own: fusion happens here, explicitly, or nowhere
+/// (the invariant lint's fp-contract rule keeps fma out of every other
+/// file). tests/nn/test_simd_dispatch.cpp pins both halves: every ISA
+/// against the scalar reference, and every ISA against an input whose
+/// unfused result differs.
 ///
 /// Each specialization is guarded by the compiler's own ISA macro, so this
 /// header is safe to include from any TU: a TU compiled at the SSE2
 /// baseline sees no specialization at all, while the per-ISA kernel TUs
-/// (compiled with -mavx2 / -mavx512f, or targeting aarch64) see theirs.
+/// (compiled with -mavx2 -mfma / -mavx512f, or targeting aarch64) see
+/// theirs.
 
+#include <cmath>
 #include <cstddef>
 
 #if defined(__AVX2__) || defined(__AVX512F__)
@@ -30,6 +37,23 @@
 
 namespace socpinn::nn::simd {
 
+/// acc + a * b with one rounding: the scalar reference's multiply-add and
+/// the vector kernels' remainder columns. Compiled to one FMA instruction
+/// where the TU's ISA has one, to a libm call otherwise (a portable build's
+/// scalar TU). always_inline: an out-of-line copy of an inline function is
+/// COMDAT-folded across TUs, so the scalar TU could end up calling the
+/// FMA-encoded copy from the AVX2 TU on a host without FMA. fmaf, not the
+/// float overload of std::fma, for the same reason: that overload is
+/// itself an inline libstdc++ function.
+[[gnu::always_inline]] inline double mul_add(double a, double b,
+                                             double acc) {
+  return std::fma(a, b, acc);
+}
+
+[[gnu::always_inline]] inline float mul_add(float a, float b, float acc) {
+  return std::fmaf(a, b, acc);
+}
+
 /// Vec<T, W>: W lanes of scalar T in one register. Required interface:
 ///   Scalar            — T
 ///   kWidth            — W
@@ -37,11 +61,11 @@ namespace socpinn::nn::simd {
 ///                       (sized to the ISA's register file: 16 regs -> 2,
 ///                       32 regs -> 4)
 ///   load / broadcast / store, and free mul_add(a, b, acc) = acc + a * b
-///   (unfused; see header comment).
+///   (fused; see header comment).
 template <typename T, int W>
 struct Vec;
 
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__FMA__)
 // 16 ymm registers: 4x2 accumulator tile (8 regs) + loads + broadcast.
 template <>
 struct Vec<float, 8> {
@@ -56,7 +80,7 @@ struct Vec<float, 8> {
 
 inline Vec<float, 8> mul_add(Vec<float, 8> a, Vec<float, 8> b,
                              Vec<float, 8> acc) {
-  return {_mm256_add_ps(acc.v, _mm256_mul_ps(a.v, b.v))};
+  return {_mm256_fmadd_ps(a.v, b.v, acc.v)};
 }
 
 template <>
@@ -72,9 +96,9 @@ struct Vec<double, 4> {
 
 inline Vec<double, 4> mul_add(Vec<double, 4> a, Vec<double, 4> b,
                               Vec<double, 4> acc) {
-  return {_mm256_add_pd(acc.v, _mm256_mul_pd(a.v, b.v))};
+  return {_mm256_fmadd_pd(a.v, b.v, acc.v)};
 }
-#endif  // __AVX2__
+#endif  // __AVX2__ && __FMA__
 
 #if defined(__AVX512F__)
 // 32 zmm registers: 4x4 accumulator tile (16 regs) — the tile column
@@ -93,7 +117,7 @@ struct Vec<float, 16> {
 
 inline Vec<float, 16> mul_add(Vec<float, 16> a, Vec<float, 16> b,
                               Vec<float, 16> acc) {
-  return {_mm512_add_ps(acc.v, _mm512_mul_ps(a.v, b.v))};
+  return {_mm512_fmadd_ps(a.v, b.v, acc.v)};
 }
 
 template <>
@@ -109,7 +133,7 @@ struct Vec<double, 8> {
 
 inline Vec<double, 8> mul_add(Vec<double, 8> a, Vec<double, 8> b,
                               Vec<double, 8> acc) {
-  return {_mm512_add_pd(acc.v, _mm512_mul_pd(a.v, b.v))};
+  return {_mm512_fmadd_pd(a.v, b.v, acc.v)};
 }
 #endif  // __AVX512F__
 
@@ -129,8 +153,8 @@ struct Vec<float, 4> {
 
 inline Vec<float, 4> mul_add(Vec<float, 4> a, Vec<float, 4> b,
                              Vec<float, 4> acc) {
-  // vaddq(vmulq(...)) keeps the two roundings; vmlaq/vfmaq would fuse.
-  return {vaddq_f32(acc.v, vmulq_f32(a.v, b.v))};
+  // vfmaq, not vmlaq: vmlaq rounds twice.
+  return {vfmaq_f32(acc.v, a.v, b.v)};
 }
 
 template <>
@@ -146,7 +170,7 @@ struct Vec<double, 2> {
 
 inline Vec<double, 2> mul_add(Vec<double, 2> a, Vec<double, 2> b,
                               Vec<double, 2> acc) {
-  return {vaddq_f64(acc.v, vmulq_f64(a.v, b.v))};
+  return {vfmaq_f64(acc.v, a.v, b.v)};
 }
 #endif  // __ARM_NEON && __aarch64__
 

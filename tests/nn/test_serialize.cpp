@@ -69,6 +69,13 @@ TEST(SerializeMlp, RejectsMatrixDimensionsBeforeAllocating) {
   // than from the Dense constructor.
   std::stringstream zero("socpinn-mlp 1\n1\ndense\n0 4\n1 4\n0 0 0 0\n");
   EXPECT_THROW((void)load_mlp(zero), std::runtime_error);
+
+  // 2^40 doubles that fit size_t but not memory: the header alone must not
+  // size an allocation, so the short stream fails as truncated data, not
+  // std::bad_alloc.
+  std::stringstream huge(
+      "socpinn-mlp 1\n1\ndense\n1048576 1048576\n0.5 0.5\n");
+  EXPECT_THROW((void)load_mlp(huge), std::runtime_error);
 }
 
 TEST(SerializeScaler, RoundTrips) {
@@ -90,6 +97,11 @@ TEST(SerializeScaler, RejectsUnfitted) {
 TEST(SerializeScaler, RejectsBadHeader) {
   std::stringstream stream("wrong 1 2\n");
   EXPECT_THROW((void)load_scaler(stream), std::runtime_error);
+
+  // A feature count of 2^40 with one value behind it: the buffers grow as
+  // values arrive, so this is a truncated file, not std::bad_alloc.
+  std::stringstream huge("socpinn-scaler 1 1099511627776\n0.5\n");
+  EXPECT_THROW((void)load_scaler(huge), std::runtime_error);
 }
 
 TEST(SerializeMlp, FileRoundTrip) {

@@ -3,8 +3,9 @@
 /// failure on unknown/unsupported overrides), the parity contract — every
 /// explicit SIMD kernel bitwise identical to the scalar reference at f64
 /// and within 1 ulp at f32, across an exhaustive batch sweep covering every
-/// tile/remainder decomposition — and the 64-byte alignment contract of the
-/// panel carriers (nn/aligned.hpp).
+/// tile/remainder decomposition — the fused multiply-add every kernel
+/// performs, and the 64-byte alignment contract of the panel carriers
+/// (nn/aligned.hpp).
 ///
 /// These tests exercise every kernel the BINARY carries that the HOST can
 /// execute, independent of which one SOCPINN_FORCE_ISA pins for the serve
@@ -60,7 +61,9 @@ TEST(SimdDispatch, ScalarIsAlwaysCompiledAndSupported) {
 
 TEST(SimdDispatch, SupportedImpliesCompiled) {
   for (Isa isa : all_isas()) {
-    if (simd::isa_supported(isa)) EXPECT_TRUE(simd::isa_compiled(isa));
+    if (simd::isa_supported(isa)) {
+      EXPECT_TRUE(simd::isa_compiled(isa));
+    }
   }
 }
 
@@ -210,6 +213,38 @@ TEST(SimdDispatch, ExhaustiveSweepMatchesScalarReference) {
                 << " want=" << ref32[i];
           }
         }
+      }
+    }
+  }
+}
+
+/// The absolute anchor of the fused arithmetic: the sweep above compares
+/// each ISA with the scalar reference, so every path reverting to two
+/// roundings together would still pass it. Here w * a = 1 + 2^-(p-1) +
+/// 2^-2p exactly (p = 30 at f64, 13 at f32), and bias cancels all but the
+/// last term: one FMA keeps it, while a rounded product loses it and the
+/// add returns 0. Batches 1..130 reach every tile, single-vector and
+/// remainder path of every kernel, the scalar one included.
+TEST(SimdDispatch, KernelsFuseEachMultiplyAdd) {
+  constexpr std::size_t kMaxBatch = 130;
+  const double w64 = 1.0 + 0x1p-30;
+  const double b64 = -(1.0 + 0x1p-29);
+  const float w32 = 1.0f + 0x1p-13f;
+  const float b32 = -(1.0f + 0x1p-12f);
+  AlignedVector<double> a64(kMaxBatch, w64), out64(kMaxBatch);
+  AlignedVector<float> a32(kMaxBatch, w32), out32(kMaxBatch);
+  for (Isa isa : supported_isas()) {
+    const simd::PanelKernels& k = simd::panel_kernels(isa);
+    for (std::size_t batch = 1; batch <= kMaxBatch; ++batch) {
+      k.f64(a64.data(), &w64, &b64, out64.data(), 1, 1, batch);
+      k.f32(a32.data(), &w32, &b32, out32.data(), 1, 1, batch);
+      for (std::size_t j = 0; j < batch; ++j) {
+        ASSERT_EQ(out64[j], 0x1p-60)
+            << "f64 isa=" << simd::isa_name(isa) << " batch=" << batch
+            << " col=" << j;
+        ASSERT_EQ(out32[j], 0x1p-26f)
+            << "f32 isa=" << simd::isa_name(isa) << " batch=" << batch
+            << " col=" << j;
       }
     }
   }

@@ -16,11 +16,13 @@ runtime, and only on the paths a test happens to exercise:
     (src/util/annotations.hpp) must not contain allocation constructs
     unless each is waived with a justified SOCPINN_HOT_ALLOW comment.
   * f64 results are bitwise identical across scalar/AVX2/AVX-512/NEON
-    because every kernel performs UNFUSED multiply-adds under a global
-    -ffp-contract=off. A std::fma call or an FP_CONTRACT pragma anywhere
-    outside nn/simd.hpp (the one place a fused path may ever be
-    deliberately introduced and re-contracted) silently breaks that
-    parity on exactly one ISA.
+    because every panel kernel fuses each multiply-add through
+    nn/simd.hpp's mul_add (a vector FMA per ISA, std::fma in the scalar
+    reference) while a global -ffp-contract=off keeps the compiler from
+    fusing anything else. A std::fma call, a fused intrinsic or an
+    FP_CONTRACT pragma anywhere outside nn/simd.hpp (the one place fusion
+    is spelled) fuses on only the paths that reach it and silently breaks
+    that parity.
 
 Checks (names usable in waiver comments and reports):
 
@@ -37,8 +39,9 @@ Checks (names usable in waiver comments and reports):
                      // SOCPINN_HOT_ALLOW(resize): reuses warm capacity
                  The construct name must match and the reason must be
                  non-empty; the waiver holds for the same or next line.
-  fp-contract    no std::fma / fmaf / fmal and no FP_CONTRACT-style
-                 pragmas outside nn/simd.hpp.
+  fp-contract    no std::fma / fmaf / fmal, no fused intrinsic
+                 (_mm*_fmadd_*, _mm*_fmsub_*, vfmaq_*) and no
+                 FP_CONTRACT-style pragmas outside nn/simd.hpp.
   seqlock-discipline
                  the single-writer seqlock protocol in serve/:
                  (a) every odd sequence bump (`store(s + 1, ...)`) is
@@ -555,7 +558,8 @@ def check_seqlock_discipline(rel: str, text: str, masked: str,
 
 # ---------------------------------------------------- check: fp-contract
 
-FMA_CALL = re.compile(r"\b(?:std\s*::\s*)?fma[fl]?\s*\(")
+FMA_CALL = re.compile(r"\b(?:(?:std\s*::\s*)?fma[fl]?"
+                      r"|_mm\w*_fm(?:add|sub)_\w+|vfmaq_\w+)\s*\(")
 PRAGMA_LINE = re.compile(r"^\s*#\s*pragma\b.*contract", re.I)
 FP_ALLOWLIST = ("nn/simd.hpp",)
 
@@ -567,17 +571,20 @@ def check_fp_contract(rel: str, text: str, masked: str) -> list[tuple]:
     for m in FMA_CALL.finditer(masked):
         findings.append((
             rel, line_of(masked, m.start()), "fp-contract",
-            "std::fma performs ONE rounding where every kernel in this "
-            "tree performs two (global -ffp-contract=off) — it would "
-            "break f64 bitwise parity across ISAs; fused paths may only "
-            "be introduced in nn/simd.hpp with the contract revisited"))
+            "fused multiply-add outside nn/simd.hpp: the panel kernels "
+            "fuse through simd::mul_add on every ISA, and everything else "
+            "rounds twice (global -ffp-contract=off); a fused path here "
+            "runs on only the ISAs that reach it and breaks f64 bitwise "
+            "parity — call simd::mul_add, or add the ISA's form to "
+            "nn/simd.hpp"))
     for i, raw in enumerate(text.splitlines(), start=1):
         if PRAGMA_LINE.match(raw):
             findings.append((
                 rel, i, "fp-contract",
                 "FP_CONTRACT-style pragma overrides the global "
-                "-ffp-contract=off that pins cross-ISA f64 bitwise "
-                "parity; only nn/simd.hpp may renegotiate contraction"))
+                "-ffp-contract=off, so the compiler fuses wherever the "
+                "target ISA allows and cross-ISA f64 bitwise parity is "
+                "lost; fuse explicitly through nn/simd.hpp's mul_add"))
     return findings
 
 

@@ -10,4 +10,8 @@ inline double fused(double a, double b, double c) {
   return std::fma(a, b, c);  // allowlisted: nn/simd.hpp
 }
 
+inline Vec fused(Vec a, Vec b, Vec c) {
+  return {_mm256_fmadd_pd(a.v, b.v, c.v)};  // allowlisted: nn/simd.hpp
+}
+
 }  // namespace fixture

@@ -2,14 +2,14 @@
 /// Command-line front end for the library, so the full workflow runs
 /// without writing C++: simulate datasets to CSV, train a model on CSV
 /// traces, evaluate it at arbitrary horizons, and roll it over a planned
-/// workload.
+/// workload. Each command below is one shell line, wrapped to fit:
 ///
 ///   socpinn_cli --mode=simulate --dataset=sandia --out-dir=data/
-///   socpinn_cli --mode=train --train-csv=data/train_0.csv,data/train_1.csv \
+///   socpinn_cli --mode=train --train-csv=data/train_0.csv,data/train_1.csv
 ///               --horizon=120 --physics=120,240,360 --model-out=model.txt
-///   socpinn_cli --mode=eval --model=model.txt --test-csv=data/test_0.csv \
+///   socpinn_cli --mode=eval --model=model.txt --test-csv=data/test_0.csv
 ///               --horizons=120,240,360
-///   socpinn_cli --mode=rollout --model=model.txt --trace-csv=data/test_0.csv \
+///   socpinn_cli --mode=rollout --model=model.txt --trace-csv=data/test_0.csv
 ///               --horizon=120 --out=rollout.csv
 ///
 /// CSV trace format: header `time_s,voltage,current,temp_c,soc` (the soc
