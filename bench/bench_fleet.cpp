@@ -10,8 +10,10 @@
 /// speedup over a per-cell scalar loop, the steady-state allocation
 /// count, and the live-ingest section — mailbox publish throughput plus
 /// the cost of a tick that drains a streaming fleet (10% of cells
-/// reporting fresh sensors and workload overrides per tick) — all
-/// threshold-checked in CI via tools/check_bench_regression.py.
+/// reporting fresh sensors and workload overrides, or param updates, per
+/// tick), each as a ratio of median tick times over interleaved plain and
+/// ingest ticks — all threshold-checked in CI via
+/// tools/check_bench_regression.py.
 ///
 /// Options: --smoke (tiny reps for CI smoke runs; skips the Google
 /// Benchmark sweep and only emits the JSON), plus the usual
@@ -20,6 +22,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -79,6 +82,13 @@ void BM_FleetConnect(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetConnect)->Arg(16384)->Unit(benchmark::kMicrosecond);
 
+/// Median of `v`, which it reorders.
+double median_ms(std::vector<double>& v) {
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  return *mid;
+}
+
 /// Tick latency / throughput + batched-vs-scalar speedup + steady-state
 /// allocations, written for machine consumption by CI.
 void emit_bench_json(const char* path, std::size_t cells, int reps) {
@@ -90,12 +100,6 @@ void emit_bench_json(const char* path, std::size_t cells, int reps) {
   serve::FleetEngine engine(net, cells, {});
   engine.set_soc(soc0);
   engine.step(workload);  // warm every shard's workspace
-  const std::size_t allocs_before = benchsupport::alloc_count();
-  util::WallTimer tick_timer;
-  for (int i = 0; i < reps; ++i) engine.step(workload);
-  const double tick_ms = tick_timer.millis() / reps;
-  const std::size_t tick_allocs =
-      benchsupport::alloc_count() - allocs_before;
 
   // The pre-batching shape: one scalar Branch-2 forward per cell.
   core::InferenceWorkspace ws;
@@ -115,9 +119,10 @@ void emit_bench_json(const char* path, std::size_t cells, int reps) {
   }
   const double scalar_ms = scalar_timer.millis() / scalar_reps;
 
-  // --- Live ingest: mailbox publish rate and drain-tick overhead. ---
-  // Publish throughput first: one producer hammering the wait-free
-  // seqlock publish path (the cost a telemetry thread pays per message).
+  // --- Live ingest: mailbox publish rates. One producer hammers the
+  // wait-free seqlock publish path (the cost a telemetry thread pays per
+  // message): sensor reports, then per-cell CellParams (the slow loop's
+  // shape: a background SoH estimator publishing capacity fade). ---
   const int publish_reps = std::max(reps * 200, 100000);
   util::WallTimer publish_timer;
   for (int i = 0; i < publish_reps; ++i) {
@@ -126,33 +131,6 @@ void emit_bench_json(const char* path, std::size_t cells, int reps) {
   }
   const double publish_msgs_per_sec =
       publish_reps / (publish_timer.millis() * 1e-3);
-
-  // Warm the drain staging at full width (every cell pending at once),
-  // then measure the streaming steady state: 10% of the fleet reports in
-  // per tick — fresh sensors (a batched Branch-1 re-seed rides the tick)
-  // and a workload override each.
-  for (std::size_t c = 0; c < cells; ++c) {
-    engine.mailbox().publish_sensors(c, {3.9, -1.5, 25.0});
-    engine.mailbox().publish_workload(c, {-2.0, 25.0, 60.0});
-  }
-  engine.step(workload);
-  const std::size_t ingest_allocs_before = benchsupport::alloc_count();
-  util::WallTimer ingest_timer;
-  for (int i = 0; i < reps; ++i) {
-    for (std::size_t c = static_cast<std::size_t>(i) % 10; c < cells;
-         c += 10) {
-      engine.mailbox().publish_sensors(c, {3.85, -1.2, 24.0});
-      engine.mailbox().publish_workload(c, {-1.8, 23.0, 55.0});
-    }
-    engine.step(workload);
-  }
-  const double ingest_tick_ms = ingest_timer.millis() / reps;
-  const std::size_t ingest_allocs =
-      benchsupport::alloc_count() - ingest_allocs_before;
-
-  // --- Param ingest: the slow-loop shape. A background SoH estimator
-  // publishes per-cell CellParams (capacity fade) while the fast loop
-  // ticks; here 10% of the fleet gets a fresh update per tick. ---
   util::WallTimer param_publish_timer;
   for (int i = 0; i < publish_reps; ++i) {
     engine.mailbox().publish_params(static_cast<std::size_t>(i) % cells,
@@ -161,24 +139,57 @@ void emit_bench_json(const char* path, std::size_t cells, int reps) {
   const double param_publish_msgs_per_sec =
       publish_reps / (param_publish_timer.millis() * 1e-3);
 
-  // Warm the param drain at full width, then measure the steady state.
+  // Warm the drain staging at full width (every cell pending at once),
+  // then measure the streaming steady state. Each rep times three ticks
+  // back to back: a plain one; an ingest one, where 10% of the fleet
+  // reports fresh sensors (a batched Branch-1 re-seed rides the tick) and
+  // a workload override each; and a param one, where 10% of the fleet gets
+  // a fresh CellParams update. Each overhead ratio divides medians of
+  // neighbouring ticks, so a host stall moves a few samples, not a whole
+  // phase's mean.
   for (std::size_t c = 0; c < cells; ++c) {
+    engine.mailbox().publish_sensors(c, {3.9, -1.5, 25.0});
+    engine.mailbox().publish_workload(c, {-2.0, 25.0, 60.0});
     engine.mailbox().publish_params(c, {2.9, 0.99, 0.0});
   }
   engine.step(workload);
-  const std::size_t param_allocs_before = benchsupport::alloc_count();
-  util::WallTimer param_timer;
+  std::vector<double> plain_ms, ingest_ms, param_ms;
+  plain_ms.reserve(static_cast<std::size_t>(reps));
+  ingest_ms.reserve(static_cast<std::size_t>(reps));
+  param_ms.reserve(static_cast<std::size_t>(reps));
+  std::size_t tick_allocs = 0, ingest_allocs = 0, param_allocs = 0;
   for (int i = 0; i < reps; ++i) {
+    std::size_t allocs_before = benchsupport::alloc_count();
+    util::WallTimer tick_timer;
+    engine.step(workload);
+    plain_ms.push_back(tick_timer.millis());
+    tick_allocs += benchsupport::alloc_count() - allocs_before;
+
+    allocs_before = benchsupport::alloc_count();
+    util::WallTimer ingest_timer;
+    for (std::size_t c = static_cast<std::size_t>(i) % 10; c < cells;
+         c += 10) {
+      engine.mailbox().publish_sensors(c, {3.85, -1.2, 24.0});
+      engine.mailbox().publish_workload(c, {-1.8, 23.0, 55.0});
+    }
+    engine.step(workload);
+    ingest_ms.push_back(ingest_timer.millis());
+    ingest_allocs += benchsupport::alloc_count() - allocs_before;
+
+    allocs_before = benchsupport::alloc_count();
+    util::WallTimer param_timer;
     for (std::size_t c = static_cast<std::size_t>(i) % 10; c < cells;
          c += 10) {
       engine.mailbox().publish_params(
           c, {2.8 + 0.001 * static_cast<double>(i % 100), 0.99, 0.0});
     }
     engine.step(workload);
+    param_ms.push_back(param_timer.millis());
+    param_allocs += benchsupport::alloc_count() - allocs_before;
   }
-  const double param_tick_ms = param_timer.millis() / reps;
-  const std::size_t param_allocs =
-      benchsupport::alloc_count() - param_allocs_before;
+  const double tick_ms = median_ms(plain_ms);
+  const double ingest_tick_ms = median_ms(ingest_ms);
+  const double param_tick_ms = median_ms(param_ms);
 
   std::FILE* file = std::fopen(path, "w");
   if (file == nullptr) {

@@ -367,14 +367,14 @@ void emit_bench_json(const char* path, const int kReps) {
     const auto run_f32 = [&] {
       for (const auto& s : layer_shapes) {
         k.f32(ia32.data(), iw32.data(), ib32.data(), io32.data(), s[0], s[1],
-              kIsaBatch);
+              kIsaBatch, false);
       }
       acc += static_cast<double>(io32[0]);
     };
     const auto run_f64 = [&] {
       for (const auto& s : layer_shapes) {
         k.f64(ia64.data(), iw64.data(), ib64.data(), io64.data(), s[0], s[1],
-              kIsaBatch);
+              kIsaBatch, false);
       }
       acc += io64[0];
     };

@@ -53,8 +53,9 @@ struct BranchSnapshotT {
 
 /// Immutable T-precision twin of a trained TwoBranchNet, run with an
 /// InferenceWorkspaceT<T> (two_branch_net.hpp). At T = double it runs the
-/// same kernel and activation pass as the net's own forward over copied
-/// weights, so the two agree bitwise.
+/// same kernel as the net's own forward over copied weights, with each
+/// ReLU after a dense layer fused into that layer's kernel epilogue
+/// (nn::MlpSnapshotT), so the two agree bitwise.
 template <typename T>
 class TwoBranchSnapshotT {
  public:

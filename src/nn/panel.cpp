@@ -10,6 +10,7 @@
 #include "nn/dense.hpp"
 #include "nn/mlp.hpp"
 #include "nn/panel_dispatch.hpp"
+#include "nn/simd.hpp"
 #include "util/annotations.hpp"
 
 namespace socpinn::nn {
@@ -23,9 +24,8 @@ SOCPINN_HOT void activate_columns(ActivationKind kind, const MatrixT<T>& in,
   const auto dst = out.data();
   switch (kind) {
     case ActivationKind::kRelu:
-      for (std::size_t i = 0; i < src.size(); ++i) {
-        dst[i] = src[i] > T(0) ? src[i] : T(0);
-      }
+      // The dense kernels' fused epilogue applies the same simd::relu.
+      for (std::size_t i = 0; i < src.size(); ++i) dst[i] = simd::relu(src[i]);
       return;
     case ActivationKind::kLeakyRelu:
       for (std::size_t i = 0; i < src.size(); ++i) {
@@ -52,7 +52,8 @@ SOCPINN_HOT void activate_columns(ActivationKind kind, const MatrixT<T>& in,
 template <typename T>
 SOCPINN_HOT void dense_forward_columns(const MatrixT<T>& activations,
                            const MatrixT<T>& weights,
-                           const MatrixT<T>& bias_row, MatrixT<T>& out) {
+                           const MatrixT<T>& bias_row, MatrixT<T>& out,
+                           bool relu) {
   if (activations.rows() != weights.rows()) {
     throw std::invalid_argument(
         "dense_forward_columns<T>: feature dimension mismatch");
@@ -80,7 +81,7 @@ SOCPINN_HOT void dense_forward_columns(const MatrixT<T>& activations,
   }
   kernel(activations.data().data(), weights.data().data(),
          bias_row.data().data(), out.data().data(), weights.rows(),
-         weights.cols(), activations.cols());
+         weights.cols(), activations.cols(), relu);
 }
 
 template <typename T>
@@ -144,6 +145,7 @@ MatrixT<T> converted(const Matrix& m, std::size_t layer) {
 template <typename T>
 MlpSnapshotT<T> MlpSnapshotT<T>::from(const Mlp& mlp) {
   MlpSnapshotT snapshot;
+  snapshot.num_layers_ = mlp.num_layers();
   snapshot.steps_.reserve(mlp.num_layers());
   std::optional<std::size_t> width;  // output width of the last dense layer
   for (std::size_t i = 0; i < mlp.num_layers(); ++i) {
@@ -166,6 +168,13 @@ MlpSnapshotT<T> MlpSnapshotT<T>::from(const Mlp& mlp) {
       step.w = converted<T>(w, i);
       step.b = converted<T>(b, i);
     } else if (const auto* act = dynamic_cast<const Activation*>(&layer)) {
+      // A ReLU right after a dense layer (whose step has no ReLU fused
+      // yet) becomes that step's epilogue.
+      if (act->kind() == ActivationKind::kRelu && !snapshot.steps_.empty() &&
+          snapshot.steps_.back().is_dense && !snapshot.steps_.back().relu) {
+        snapshot.steps_.back().relu = true;
+        continue;
+      }
       step.act = act->kind();
     } else {
       throw std::invalid_argument("MlpSnapshotT::from: unsupported layer '" +
@@ -179,10 +188,9 @@ MlpSnapshotT<T> MlpSnapshotT<T>::from(const Mlp& mlp) {
 template <typename T>
 SOCPINN_HOT const MatrixT<T>& MlpSnapshotT<T>::infer_columns(
     const MatrixT<T>& input_columns, ForwardWorkspaceT<T>& ws) const {
-  const std::size_t n = steps_.size();
-  ws.ensure(n + 1);  // buffer n backs the layerless copy
-  if (n == 0) {
-    MatrixT<T>& out = ws.buffer(n);
+  ws.ensure(2);
+  if (steps_.empty()) {
+    MatrixT<T>& out = ws.buffer(0);
     // SOCPINN_HOT_ALLOW(resize): warm workspace capacity, layer shapes fixed
     out.resize(input_columns.rows(), input_columns.cols());
     const auto src = input_columns.data();
@@ -190,9 +198,10 @@ SOCPINN_HOT const MatrixT<T>& MlpSnapshotT<T>::infer_columns(
     for (std::size_t i = 0; i < src.size(); ++i) dst[i] = src[i];
     return out;
   }
+  // Step i reads what step i - 1 wrote and writes the other buffer.
   const MatrixT<T>* x = &input_columns;
-  for (std::size_t i = 0; i < n; ++i) {
-    MatrixT<T>& out = ws.buffer(i);
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
+    MatrixT<T>& out = ws.buffer(i % 2);
     const Step& step = steps_[i];
     if (step.is_dense) {
       if (x->rows() != step.w.rows()) {
@@ -203,7 +212,7 @@ SOCPINN_HOT const MatrixT<T>& MlpSnapshotT<T>::infer_columns(
             // SOCPINN_HOT_ALLOW(to_string): cold throw path (shape mismatch)
             std::to_string(step.w.rows()));
       }
-      dense_forward_columns(*x, step.w, step.b, out);
+      dense_forward_columns(*x, step.w, step.b, out, step.relu);
     } else {
       activate_columns(step.act, *x, out);
     }
@@ -217,11 +226,11 @@ SOCPINN_HOT const MatrixT<T>& MlpSnapshotT<T>::infer_columns(
 template void dense_forward_columns<float>(const MatrixT<float>&,
                                            const MatrixT<float>&,
                                            const MatrixT<float>&,
-                                           MatrixT<float>&);
+                                           MatrixT<float>&, bool);
 template void dense_forward_columns<double>(const MatrixT<double>&,
                                             const MatrixT<double>&,
                                             const MatrixT<double>&,
-                                            MatrixT<double>&);
+                                            MatrixT<double>&, bool);
 template void activate_columns<float>(ActivationKind, const MatrixT<float>&,
                                       MatrixT<float>&);
 template void activate_columns<double>(ActivationKind,

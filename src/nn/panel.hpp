@@ -9,9 +9,13 @@
 /// f64 forward of TwoBranchNet and the baselines; at double and at float
 /// they serve MlpSnapshotT / ScalerStatsT, the weights and scaler stats
 /// the serve engines convert ONCE from a trained f64 model, so serving
-/// never touches the trained network. Training's Activation::forward runs
-/// the same activation pass. tests/nn/test_panel.cpp pins the snapshot at
-/// double bitwise to the net's own forward.
+/// never touches the trained network. The snapshot folds each ReLU that
+/// directly follows a dense layer into that layer's kernel, which stores
+/// relu(acc) in the same pass (the kernel's epilogue, same formula);
+/// every other activation keeps its own pass. Training's
+/// Activation::forward runs the same activation pass.
+/// tests/nn/test_panel.cpp pins the fused snapshot at double bitwise to
+/// the net's own unfused forward.
 
 #include <cstddef>
 #include <vector>
@@ -33,12 +37,15 @@ class Mlp;
 /// the accumulation order is bias first, then k ascending, each step one
 /// fused multiply-add (simd.hpp) on every ISA. Training's matmul + bias
 /// stays unfused, so the two forwards agree to a few ulps, not bitwise.
-/// `out` is resized with capacity reuse, so the steady state performs no
-/// heap allocation, and must not alias an input.
+/// With `relu` set, each element is stored as activate_columns(kRelu)
+/// would leave it, in the same pass. `out` is resized with capacity reuse,
+/// so the steady state performs no heap allocation, and must not alias an
+/// input.
 template <typename T>
 void dense_forward_columns(const MatrixT<T>& activations,
                            const MatrixT<T>& weights,
-                           const MatrixT<T>& bias_row, MatrixT<T>& out);
+                           const MatrixT<T>& bias_row, MatrixT<T>& out,
+                           bool relu = false);
 
 /// out = act(in) elementwise, resizing out with capacity reuse; out must
 /// not alias in. Layout-agnostic, so training's row-major batches and the
@@ -82,9 +89,12 @@ struct ScalerStatsT {
 
 /// Immutable inference-only snapshot of a trained Mlp at scalar type T:
 /// dense weights/biases and activation kinds captured once, then served
-/// through the feature-major panel kernel. The snapshot never aliases the
-/// source net, so a trained f64 model stays bitwise untouched while its
-/// f32 twin serves traffic.
+/// through the feature-major panel kernel. Each ReLU directly after a
+/// dense layer runs in that layer's kernel epilogue; leaky ReLU, tanh,
+/// sigmoid, identity, a ReLU after another activation and any activation
+/// ahead of the first dense layer keep their own pass. The snapshot never
+/// aliases the source net, so a trained f64 model stays bitwise untouched
+/// while its f32 twin serves traffic.
 template <typename T>
 class MlpSnapshotT {
  public:
@@ -115,20 +125,25 @@ class MlpSnapshotT {
 
   /// Feature-major inference: `input_columns` is (in_features x batch) and
   /// the returned reference (out_features x batch) points into `ws`, valid
-  /// until its next use. Allocation-free once ws is warm at the batch size.
+  /// until its next use. The steps alternate between ws's buffers 0 and 1,
+  /// so the workspace holds two panels whatever the depth. Allocation-free
+  /// once ws is warm at the batch size.
   const MatrixT<T>& infer_columns(const MatrixT<T>& input_columns,
                                   ForwardWorkspaceT<T>& ws) const;
 
-  [[nodiscard]] std::size_t num_layers() const { return steps_.size(); }
+  /// Layer count of the source net, fused ReLUs included.
+  [[nodiscard]] std::size_t num_layers() const { return num_layers_; }
 
  private:
   struct Step {
     bool is_dense = false;
+    bool relu = false;  ///< dense only: the next layer's ReLU, fused
     MatrixT<T> w;  ///< in x out (dense only)
     MatrixT<T> b;  ///< 1 x out (dense only)
     ActivationKind act = ActivationKind::kIdentity;  ///< activation only
   };
   std::vector<Step> steps_;
+  std::size_t num_layers_ = 0;
 };
 
 }  // namespace socpinn::nn

@@ -21,12 +21,13 @@ inline constexpr std::size_t kColumnsMinBatch = 32;
 /// Column tile of the serve engines' forwards: serve::EngineCore stages,
 /// runs and writes back a shard's batch this many columns at a time, so
 /// every per-layer activation panel stays L1-resident however wide the
-/// shard (at f64 the widest pass, ReLU over the 32-wide layer, touches
-/// 32 KiB). 64 is the smallest width that is a whole register tile on
-/// every ISA (AVX-512 f32: 4 vectors x 16 lanes); every kernel asserts at
-/// compile time that its tile divides it, so a tile boundary never pushes
-/// real columns into a kernel's remainder passes. Per-column independence
-/// keeps results bitwise identical to one full-width panel.
+/// shard (at f64 the widest pass, the 16 -> 32 dense layer with its ReLU
+/// fused, reads 8 KiB and writes 16 KiB). 64 is the smallest width that
+/// is a whole register tile on every ISA (AVX-512 f32: 4 vectors x 16
+/// lanes); every kernel asserts at compile time that its tile divides it,
+/// so a tile boundary never pushes real columns into a kernel's remainder
+/// passes. Per-column independence keeps results bitwise identical to one
+/// full-width panel.
 inline constexpr std::size_t kColumnsTile = 64;
 
 }  // namespace socpinn::nn

@@ -72,11 +72,12 @@ inline constexpr int kNumIsas = 4;
 [[nodiscard]] Isa active_isa();
 
 /// Raw-pointer dense panel kernel (out = W^T * a + bias, `a` in_f x batch
-/// with batch unit-stride); same contract as detail::dense_columns_kernel.
+/// with batch unit-stride, stored through ReLU when `relu` is set); same
+/// contract as detail::dense_columns_kernel.
 template <typename T>
 using DenseColumnsFn = void (*)(const T* a, const T* w, const T* bias,
                                 T* out, std::size_t in_f, std::size_t out_f,
-                                std::size_t batch);
+                                std::size_t batch, bool relu);
 
 /// One ISA's kernel instantiations, both serve precisions.
 struct PanelKernels {

@@ -11,7 +11,10 @@
 /// (panel_kernels_simd.hpp) reproduces exactly that sequence lane-by-lane
 /// with vector FMAs — bitwise on every host, since an FMA is correctly
 /// rounded. At float the same tiles pack twice the SIMD lanes per
-/// register.
+/// register. With the `relu` flag set, every path stores simd::relu(acc)
+/// instead of acc (the tile epilogue), so a dense layer and the ReLU after
+/// it run as one pass with exactly the results of activate_columns(kRelu)
+/// over the unfused output.
 
 #include <cstddef>
 
@@ -25,8 +28,9 @@ namespace socpinn::nn::detail {
 /// activation-row load shared by all kOut FMA chains per k step. The double
 /// tile shape (4 x 32 = 16 512-bit accumulators) is chosen for the
 /// AVX-512/AVX2 register file; float tiles double kBatch to fill the same
-/// register bytes. Per element the order stays bias-then-ascending-k.
-template <typename T, int kOut, int kBatch>
+/// register bytes. Per element the order stays bias-then-ascending-k, and
+/// kRelu applies the epilogue at the store.
+template <typename T, int kOut, int kBatch, bool kRelu>
 SOCPINN_HOT inline void dense_columns_tile(const T* __restrict a, const T* __restrict w,
                                const T* __restrict bias, T* __restrict out,
                                std::size_t in_f, std::size_t out_f,
@@ -48,18 +52,16 @@ SOCPINN_HOT inline void dense_columns_tile(const T* __restrict a, const T* __res
   }
   for (int r = 0; r < kOut; ++r) {
     T* __restrict o = out + (of + r) * batch + jt;
-    for (int j = 0; j < kBatch; ++j) o[j] = acc[r][j];
+    for (int j = 0; j < kBatch; ++j) {
+      o[j] = kRelu ? simd::relu(acc[r][j]) : acc[r][j];
+    }
   }
 }
 
-/// out = W^T * activations + bias over raw feature-major panels:
-/// `a` is (in_f x batch) row-major (batch unit-stride), `w` (in_f x out_f)
-/// row-major, `bias` out_f, `out` (out_f x batch). `noclone` keeps GCC from
-/// constant-propagating the tiny layer widths into specialized clones
-/// (whose interleaving vectorization is dramatically slower for these
-/// shapes than the plain saxpy form).
-template <typename T>
-SOCPINN_HOT __attribute__((noinline, noclone)) void dense_columns_kernel(
+/// dense_columns_kernel with the epilogue fixed at compile time; a
+/// function of its own for the reason dense_columns_pass_vec gives.
+template <typename T, bool kRelu>
+SOCPINN_HOT __attribute__((noinline, noclone)) void dense_columns_pass(
     const T* __restrict a, const T* __restrict w, const T* __restrict bias,
     T* __restrict out, std::size_t in_f, std::size_t out_f,
     std::size_t batch) {
@@ -69,12 +71,12 @@ SOCPINN_HOT __attribute__((noinline, noclone)) void dense_columns_kernel(
   for (; jt + kBatch <= batch; jt += kBatch) {
     std::size_t of = 0;
     for (; of + kOut <= out_f; of += kOut) {
-      dense_columns_tile<T, kOut, kBatch>(a, w, bias, out, in_f, out_f,
-                                          batch, of, jt);
+      dense_columns_tile<T, kOut, kBatch, kRelu>(a, w, bias, out, in_f, out_f,
+                                                 batch, of, jt);
     }
     for (; of < out_f; ++of) {
-      dense_columns_tile<T, 1, kBatch>(a, w, bias, out, in_f, out_f, batch,
-                                       of, jt);
+      dense_columns_tile<T, 1, kBatch, kRelu>(a, w, bias, out, in_f, out_f,
+                                              batch, of, jt);
     }
   }
   if constexpr (sizeof(T) < sizeof(double)) {
@@ -84,20 +86,20 @@ SOCPINN_HOT __attribute__((noinline, noclone)) void dense_columns_kernel(
     for (; jt + kBatch / 2 <= batch; jt += kBatch / 2) {
       std::size_t of = 0;
       for (; of + kOut <= out_f; of += kOut) {
-        dense_columns_tile<T, kOut, kBatch / 2>(a, w, bias, out, in_f, out_f,
-                                                batch, of, jt);
+        dense_columns_tile<T, kOut, kBatch / 2, kRelu>(a, w, bias, out, in_f,
+                                                       out_f, batch, of, jt);
       }
       for (; of < out_f; ++of) {
-        dense_columns_tile<T, 1, kBatch / 2>(a, w, bias, out, in_f, out_f,
-                                             batch, of, jt);
+        dense_columns_tile<T, 1, kBatch / 2, kRelu>(a, w, bias, out, in_f,
+                                                    out_f, batch, of, jt);
       }
     }
   }
   // Remainder columns, one at a time: the bias, then one axpy over the
-  // outputs per ascending k — per element the tiles' order. The out_f
-  // updates of one k are independent (contiguous at batch 1), so a
-  // batch-of-1 forward vectorizes over the outputs rather than running a
-  // latency-bound dot product per output.
+  // outputs per ascending k — per element the tiles' order — then the
+  // epilogue. The out_f updates of one k are independent (contiguous at
+  // batch 1), so a batch-of-1 forward vectorizes over the outputs rather
+  // than running a latency-bound dot product per output.
   for (; jt < batch; ++jt) {
     for (std::size_t of = 0; of < out_f; ++of) out[of * batch + jt] = bias[of];
     for (std::size_t k = 0; k < in_f; ++k) {
@@ -108,6 +110,30 @@ SOCPINN_HOT __attribute__((noinline, noclone)) void dense_columns_kernel(
         o = simd::mul_add(w_row[of], ak, o);
       }
     }
+    if constexpr (kRelu) {
+      for (std::size_t of = 0; of < out_f; ++of) {
+        T& o = out[of * batch + jt];
+        o = simd::relu(o);
+      }
+    }
+  }
+}
+
+/// out = W^T * activations + bias over raw feature-major panels, then
+/// ReLU when `relu` is set: `a` is (in_f x batch) row-major (batch
+/// unit-stride), `w` (in_f x out_f) row-major, `bias` out_f, `out`
+/// (out_f x batch). `noclone` keeps GCC from constant-propagating the tiny
+/// layer widths into specialized clones (whose interleaving vectorization
+/// is dramatically slower for these shapes than the plain saxpy form).
+template <typename T>
+SOCPINN_HOT __attribute__((noinline, noclone)) void dense_columns_kernel(
+    const T* __restrict a, const T* __restrict w, const T* __restrict bias,
+    T* __restrict out, std::size_t in_f, std::size_t out_f, std::size_t batch,
+    bool relu) {
+  if (relu) {
+    dense_columns_pass<T, true>(a, w, bias, out, in_f, out_f, batch);
+  } else {
+    dense_columns_pass<T, false>(a, w, bias, out, in_f, out_f, batch);
   }
 }
 

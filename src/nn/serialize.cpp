@@ -140,7 +140,13 @@ StandardScaler load_scaler(std::istream& in) {
   std::vector<double> means =
       read_values(in, n, "load_scaler: truncated means");
   std::vector<double> stds = read_values(in, n, "load_scaler: truncated stds");
-  return StandardScaler::from_moments(std::move(means), std::move(stds));
+  // A zero feature count or a bad moment is a malformed file like any
+  // other: runtime_error, which load_model(path) tags with the path.
+  try {
+    return StandardScaler::from_moments(std::move(means), std::move(stds));
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("load_scaler: ") + e.what());
+  }
 }
 
 void save_mlp_file(const std::string& path, const Mlp& net) {

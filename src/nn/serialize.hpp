@@ -22,7 +22,10 @@ void save_mlp(std::ostream& out, const Mlp& net);
 /// errors or version mismatch.
 [[nodiscard]] Mlp load_mlp(std::istream& in);
 
-/// Scaler round-trip.
+/// Scaler round-trip. load_scaler throws std::runtime_error on any
+/// malformed scaler: a bad header, truncated moments, no features, or a
+/// moment StandardScaler::from_moments refuses (non-finite mean, std not
+/// finite and > 0).
 void save_scaler(std::ostream& out, const StandardScaler& scaler);
 [[nodiscard]] StandardScaler load_scaler(std::istream& in);
 

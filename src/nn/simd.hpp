@@ -1,8 +1,8 @@
 #pragma once
 /// \file simd.hpp
 /// Lane abstraction behind the explicitly vectorized panel kernels: a
-/// Vec<T, W> value wrapper with load / store / broadcast / mul_add, one
-/// specialization per ISA register type (AVX2, AVX-512F, NEON), so ONE
+/// Vec<T, W> value wrapper with load / store / broadcast / mul_add / relu,
+/// one specialization per ISA register type (AVX2, AVX-512F, NEON), so ONE
 /// tile body (panel_kernels_simd.hpp) serves every ISA.
 ///
 /// Parity contract: every mul_add is FUSED — one multiply-add with one
@@ -18,6 +18,10 @@
 /// file). tests/nn/test_simd_dispatch.cpp pins both halves: every ISA
 /// against the scalar reference, and every ISA against an input whose
 /// unfused result differs.
+///
+/// relu is the kernels' fused epilogue, `x > 0 ? x : 0` in every lane:
+/// activate_columns' ReLU formula, so -0.0 and NaN both become +0.0 and a
+/// fused dense + ReLU step stays bitwise equal to the two separate passes.
 ///
 /// Each specialization is guarded by the compiler's own ISA macro, so this
 /// header is safe to include from any TU: a TU compiled at the SSE2
@@ -54,14 +58,24 @@ namespace socpinn::nn::simd {
   return std::fmaf(a, b, acc);
 }
 
+/// x > 0 ? x : 0 — the ReLU of activate_columns and of the scalar
+/// kernels' epilogue. always_inline for the same COMDAT reason as mul_add.
+[[gnu::always_inline]] inline double relu(double x) {
+  return x > 0.0 ? x : 0.0;
+}
+
+[[gnu::always_inline]] inline float relu(float x) {
+  return x > 0.0f ? x : 0.0f;
+}
+
 /// Vec<T, W>: W lanes of scalar T in one register. Required interface:
 ///   Scalar            — T
 ///   kWidth            — W
 ///   kTileVecs         — vectors per accumulator row in the register tile
 ///                       (sized to the ISA's register file: 16 regs -> 2,
 ///                       32 regs -> 4)
-///   load / broadcast / store, and free mul_add(a, b, acc) = acc + a * b
-///   (fused; see header comment).
+///   load / broadcast / store, free mul_add(a, b, acc) = acc + a * b
+///   (fused; see header comment) and free relu(x) = x > 0 ? x : 0 per lane.
 template <typename T, int W>
 struct Vec;
 
@@ -83,6 +97,12 @@ inline Vec<float, 8> mul_add(Vec<float, 8> a, Vec<float, 8> b,
   return {_mm256_fmadd_ps(a.v, b.v, acc.v)};
 }
 
+// max returns its second operand unless the first is greater, so x goes
+// first: -0.0 and NaN lanes take the 0.
+inline Vec<float, 8> relu(Vec<float, 8> x) {
+  return {_mm256_max_ps(x.v, _mm256_setzero_ps())};
+}
+
 template <>
 struct Vec<double, 4> {
   using Scalar = double;
@@ -97,6 +117,10 @@ struct Vec<double, 4> {
 inline Vec<double, 4> mul_add(Vec<double, 4> a, Vec<double, 4> b,
                               Vec<double, 4> acc) {
   return {_mm256_fmadd_pd(a.v, b.v, acc.v)};
+}
+
+inline Vec<double, 4> relu(Vec<double, 4> x) {
+  return {_mm256_max_pd(x.v, _mm256_setzero_pd())};
 }
 #endif  // __AVX2__ && __FMA__
 
@@ -120,6 +144,14 @@ inline Vec<float, 16> mul_add(Vec<float, 16> a, Vec<float, 16> b,
   return {_mm512_fmadd_ps(a.v, b.v, acc.v)};
 }
 
+// x first, as for AVX2. The all-ones zero-masked form is the same vmaxps:
+// GCC 12's unmasked _mm512_max_* passes _mm512_undefined_* and warns
+// -Wuninitialized.
+inline Vec<float, 16> relu(Vec<float, 16> x) {
+  return {_mm512_maskz_max_ps(static_cast<__mmask16>(-1), x.v,
+                              _mm512_setzero_ps())};
+}
+
 template <>
 struct Vec<double, 8> {
   using Scalar = double;
@@ -134,6 +166,11 @@ struct Vec<double, 8> {
 inline Vec<double, 8> mul_add(Vec<double, 8> a, Vec<double, 8> b,
                               Vec<double, 8> acc) {
   return {_mm512_fmadd_pd(a.v, b.v, acc.v)};
+}
+
+inline Vec<double, 8> relu(Vec<double, 8> x) {
+  return {_mm512_maskz_max_pd(static_cast<__mmask8>(-1), x.v,
+                              _mm512_setzero_pd())};
 }
 #endif  // __AVX512F__
 
@@ -157,6 +194,12 @@ inline Vec<float, 4> mul_add(Vec<float, 4> a, Vec<float, 4> b,
   return {vfmaq_f32(acc.v, a.v, b.v)};
 }
 
+// Compare and select, not vmaxq: vmaxq returns NaN for a NaN lane.
+inline Vec<float, 4> relu(Vec<float, 4> x) {
+  const float32x4_t zero = vdupq_n_f32(0.0f);
+  return {vbslq_f32(vcgtq_f32(x.v, zero), x.v, zero)};
+}
+
 template <>
 struct Vec<double, 2> {
   using Scalar = double;
@@ -171,6 +214,11 @@ struct Vec<double, 2> {
 inline Vec<double, 2> mul_add(Vec<double, 2> a, Vec<double, 2> b,
                               Vec<double, 2> acc) {
   return {vfmaq_f64(acc.v, a.v, b.v)};
+}
+
+inline Vec<double, 2> relu(Vec<double, 2> x) {
+  const float64x2_t zero = vdupq_n_f64(0.0);
+  return {vbslq_f64(vcgtq_f64(x.v, zero), x.v, zero)};
 }
 #endif  // __ARM_NEON && __aarch64__
 

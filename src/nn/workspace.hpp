@@ -14,8 +14,10 @@
 
 namespace socpinn::nn {
 
-/// Scratch buffers for one inference pass (Mlp::infer_columns or
-/// MlpSnapshotT<T>::infer_columns): one activation panel per layer.
+/// Scratch buffers for one inference pass: Mlp::infer_columns takes one
+/// activation panel per layer, MlpSnapshotT<T>::infer_columns alternates
+/// between buffers 0 and 1 whatever the depth. Sharing one workspace
+/// between the two is safe; it grows to the larger need.
 template <typename T>
 class ForwardWorkspaceT {
  public:

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "core/test_helpers.hpp"
 #include "core/trainer.hpp"
@@ -58,6 +60,26 @@ TEST(ModelIo, LoadRejectsMissingAndCorrupt) {
     std::fclose(f);
   }
   EXPECT_THROW((void)load_model(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(ModelIo, LoadNamesTheFileOfAMalformedScaler) {
+  // A zero-feature scaler is refused as a malformed file, and the message
+  // names the file it came from.
+  const std::string path = ::testing::TempDir() + "socpinn_bad_scaler.txt";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("socpinn-two-branch 1\nsocpinn-scaler 1 0\n", f);
+    std::fclose(f);
+  }
+  try {
+    (void)load_model(path);
+    ADD_FAILURE() << "load_model accepted a zero-feature scaler";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 

@@ -3,7 +3,8 @@
 ///  * instantiated at double, the snapshot reproduces the net's own
 ///    forward BITWISE — MlpSnapshotT<double> equals Mlp::infer_columns,
 ///    ScalerStatsT<double> equals StandardScaler::transform_columns_into —
-///    which pins the copied weights to the live ones;
+///    which pins the copied weights to the live ones, and the snapshot's
+///    fused dense + ReLU steps to the net's separate passes;
 ///  * instantiated at float, results track the f64 path within float
 ///    round-off at every batch size (full tiles, the half-width float
 ///    tile, and the scalar remainder);
@@ -17,7 +18,10 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "nn/activation.hpp"
+#include "nn/dense.hpp"
 #include "nn/layer.hpp"
 #include "nn/mlp.hpp"
 #include "nn/scaler.hpp"
@@ -176,49 +180,110 @@ TEST(ScalerStats, ConstantColumnFallbackSurvivesConversion) {
   EXPECT_FLOAT_EQ(z(1, 0), 0.0f);
 }
 
+/// The inputs of the snapshot's fusion rule, all 4 -> 1: the paper's ReLU
+/// branch, the same shape under every ActivationKind between its dense
+/// layers, a ReLU ahead of the first dense layer, Dense -> ReLU -> ReLU,
+/// and a net that mixes ReLU and tanh. Only a ReLU directly after a dense
+/// layer fuses into its kernel; the live net runs every layer on its own.
+std::vector<Mlp> fusion_rule_nets() {
+  std::vector<Mlp> nets;
+  {
+    util::Rng r(7);
+    nets.push_back(Mlp::make({4, 16, 32, 16, 1}, r));
+  }
+  for (const ActivationKind kind :
+       {ActivationKind::kRelu, ActivationKind::kLeakyRelu,
+        ActivationKind::kTanh, ActivationKind::kSigmoid,
+        ActivationKind::kIdentity}) {
+    util::Rng r(11);
+    nets.push_back(Mlp::make({4, 16, 32, 16, 1}, r, kind));
+  }
+  util::Rng r(13);
+  const auto dense = [&](std::size_t in, std::size_t out) {
+    return std::make_unique<Dense>(in, out, r);
+  };
+  const auto act = [](ActivationKind kind) {
+    return std::make_unique<Activation>(kind);
+  };
+  Mlp ahead;
+  ahead.add(act(ActivationKind::kRelu));
+  ahead.add(dense(4, 16));
+  ahead.add(act(ActivationKind::kRelu));
+  ahead.add(dense(16, 1));
+  nets.push_back(std::move(ahead));
+  Mlp twice;
+  twice.add(dense(4, 16));
+  twice.add(act(ActivationKind::kRelu));
+  twice.add(act(ActivationKind::kRelu));
+  twice.add(dense(16, 1));
+  nets.push_back(std::move(twice));
+  Mlp mixed;
+  mixed.add(dense(4, 16));
+  mixed.add(act(ActivationKind::kRelu));
+  mixed.add(dense(16, 32));
+  mixed.add(act(ActivationKind::kTanh));
+  mixed.add(dense(32, 16));
+  mixed.add(act(ActivationKind::kRelu));
+  mixed.add(dense(16, 1));
+  mixed.add(act(ActivationKind::kRelu));
+  nets.push_back(std::move(mixed));
+  return nets;
+}
+
 TEST(MlpSnapshot, DoubleSnapshotMatchesMlpInferColumnsBitwise) {
   util::Rng rng(19);
-  const Mlp mlp = [&] {
-    util::Rng r(7);
-    return Mlp::make({4, 16, 32, 16, 1}, r);
-  }();
-  const auto snapshot = MlpSnapshotT<double>::from(mlp);
-  ASSERT_EQ(snapshot.num_layers(), mlp.num_layers());
+  for (const Mlp& mlp : fusion_rule_nets()) {
+    SCOPED_TRACE(mlp.describe());
+    const auto snapshot = MlpSnapshotT<double>::from(mlp);
+    ASSERT_EQ(snapshot.num_layers(), mlp.num_layers());
 
-  ForwardWorkspace ws;
-  ForwardWorkspaceT<double> wst;
-  for (const std::size_t batch :
-       {std::size_t{1}, std::size_t{33}, std::size_t{64}, std::size_t{97}}) {
-    const Matrix input = random_matrix(4, batch, rng);
-    const Matrix& expected = mlp.infer_columns(input, ws);
-    const auto it = to_panel<double>(input);
-    const MatrixT<double>& got = snapshot.infer_columns(it, wst);
-    ASSERT_EQ(got.rows(), expected.rows());
-    ASSERT_EQ(got.cols(), expected.cols());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(got.data()[i], expected.data()[i]) << "batch " << batch;
+    ForwardWorkspace ws;
+    ForwardWorkspaceT<double> wst;
+    for (const std::size_t batch :
+         {std::size_t{1}, std::size_t{33}, std::size_t{64}, std::size_t{97}}) {
+      const Matrix input = random_matrix(4, batch, rng);
+      const Matrix& expected = mlp.infer_columns(input, ws);
+      const auto it = to_panel<double>(input);
+      const MatrixT<double>& got = snapshot.infer_columns(it, wst);
+      ASSERT_EQ(got.rows(), expected.rows());
+      ASSERT_EQ(got.cols(), expected.cols());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(got.data()[i], expected.data()[i]) << "batch " << batch;
+      }
     }
   }
 }
 
 TEST(MlpSnapshot, FloatSnapshotTracksDoubleWithinTolerance) {
   util::Rng rng(23);
-  const Mlp mlp = [&] {
-    util::Rng r(7);
-    return Mlp::make({4, 16, 32, 16, 1}, r);
-  }();
-  const auto snapshot = MlpSnapshotT<float>::from(mlp);
+  for (const Mlp& mlp : fusion_rule_nets()) {
+    SCOPED_TRACE(mlp.describe());
+    const auto snapshot = MlpSnapshotT<float>::from(mlp);
 
-  ForwardWorkspace ws;
-  ForwardWorkspaceT<float> wsf;
-  const Matrix input = random_matrix(4, 80, rng);
-  const Matrix& expected = mlp.infer_columns(input, ws);
-  const auto inf = to_panel<float>(input);
-  const MatrixT<float>& got = snapshot.infer_columns(inf, wsf);
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(got.data()[i]), expected.data()[i],
-                1e-4);
+    ForwardWorkspace ws;
+    ForwardWorkspaceT<float> wsf;
+    const Matrix input = random_matrix(4, 80, rng);
+    const Matrix& expected = mlp.infer_columns(input, ws);
+    const auto inf = to_panel<float>(input);
+    const MatrixT<float>& got = snapshot.infer_columns(inf, wsf);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_NEAR(static_cast<double>(got.data()[i]), expected.data()[i],
+                  1e-4);
+    }
   }
+}
+
+TEST(MlpSnapshot, ForwardAlternatesTwoWorkspaceBuffers) {
+  // Seven layers, four fused steps: the layer panels ping-pong between two
+  // buffers instead of taking one per layer.
+  util::Rng rng(37);
+  const Mlp mlp = Mlp::make({4, 16, 32, 16, 1}, rng);
+  const auto snapshot = MlpSnapshotT<double>::from(mlp);
+  ForwardWorkspaceT<double> ws;
+  const MatrixT<double> input = to_panel<double>(random_matrix(4, 64, rng));
+  const MatrixT<double>& out = snapshot.infer_columns(input, ws);
+  EXPECT_EQ(ws.num_buffers(), 2u);
+  EXPECT_EQ(&out, &ws.buffer(1));
 }
 
 /// A layer kind the snapshot does not know: an elementwise pass-through,

@@ -102,6 +102,15 @@ TEST(SerializeScaler, RejectsBadHeader) {
   // values arrive, so this is a truncated file, not std::bad_alloc.
   std::stringstream huge("socpinn-scaler 1 1099511627776\n0.5\n");
   EXPECT_THROW((void)load_scaler(huge), std::runtime_error);
+
+  // Moments StandardScaler::from_moments refuses: no features, a zero std
+  // and a negative std are malformed files too.
+  for (const char* text :
+       {"socpinn-scaler 1 0\n", "socpinn-scaler 1 1\n0.5\n0\n",
+        "socpinn-scaler 1 1\n0.5\n-2\n"}) {
+    std::stringstream bad(text);
+    EXPECT_THROW((void)load_scaler(bad), std::runtime_error) << text;
+  }
 }
 
 TEST(SerializeMlp, FileRoundTrip) {

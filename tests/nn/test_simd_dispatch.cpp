@@ -3,7 +3,8 @@
 /// failure on unknown/unsupported overrides), the parity contract — every
 /// explicit SIMD kernel bitwise identical to the scalar reference at f64
 /// and within 1 ulp at f32, across an exhaustive batch sweep covering every
-/// tile/remainder decomposition — the fused multiply-add every kernel
+/// tile/remainder decomposition, with the ReLU epilogue off and on — the
+/// epilogue's signed zeros and NaN, the fused multiply-add every kernel
 /// performs, and the 64-byte alignment contract of the panel carriers
 /// (nn/aligned.hpp).
 ///
@@ -13,9 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "nn/aligned.hpp"
@@ -149,7 +153,8 @@ std::uint32_t ulp_diff(float a, float b) {
 /// f64 tiles at 32 columns, f32 at 64/32; AVX-512 tiles at 32/64; AVX2 at
 /// 8/16 per vector with 2-vector tiles; NEON at 2/4 with 4-vector tiles)
 /// plus the single-vector pass and the scalar remainder, and out_f values
-/// hitting the 4-row tile, its remainder rows, and out_f == 1.
+/// hitting the 4-row tile, its remainder rows, and out_f == 1 — each with
+/// the ReLU epilogue off and on.
 TEST(SimdDispatch, ExhaustiveSweepMatchesScalarReference) {
   constexpr std::size_t kMaxBatch = 130;
   constexpr std::size_t kMaxInF = 16;
@@ -182,35 +187,38 @@ TEST(SimdDispatch, ExhaustiveSweepMatchesScalarReference) {
           a64[i] = rng.uniform(-1.0, 1.0);
           a32[i] = static_cast<float>(a64[i]);
         }
-        scalar.f64(a64.data(), w64.data(), b64.data(), ref64.data(), in_f,
-                   out_f, batch);
-        scalar.f32(a32.data(), w32.data(), b32.data(), ref32.data(), in_f,
-                   out_f, batch);
-        for (Isa isa : isas) {
-          const simd::PanelKernels& k = simd::panel_kernels(isa);
-          // Poison the outputs: an element the kernel forgot to write
-          // (e.g. a broken remainder loop) must mismatch, not luckily
-          // retain a stale correct value.
-          for (std::size_t i = 0; i < out_f * batch; ++i) {
-            out64[i] = -777.0;
-            out32[i] = -777.0f;
-          }
-          k.f64(a64.data(), w64.data(), b64.data(), out64.data(), in_f,
-                out_f, batch);
-          ASSERT_EQ(std::memcmp(out64.data(), ref64.data(),
-                                out_f * batch * sizeof(double)),
-                    0)
-              << "f64 not bitwise-identical to scalar: isa="
-              << simd::isa_name(isa) << " in_f=" << in_f << " out_f=" << out_f
-              << " batch=" << batch;
-          k.f32(a32.data(), w32.data(), b32.data(), out32.data(), in_f,
-                out_f, batch);
-          for (std::size_t i = 0; i < out_f * batch; ++i) {
-            ASSERT_LE(ulp_diff(out32[i], ref32[i]), 1u)
-                << "f32 beyond 1 ulp of scalar: isa=" << simd::isa_name(isa)
-                << " in_f=" << in_f << " out_f=" << out_f
-                << " batch=" << batch << " elem=" << i << " got=" << out32[i]
-                << " want=" << ref32[i];
+        for (const bool relu : {false, true}) {
+          SCOPED_TRACE(relu ? "relu on" : "relu off");
+          scalar.f64(a64.data(), w64.data(), b64.data(), ref64.data(), in_f,
+                     out_f, batch, relu);
+          scalar.f32(a32.data(), w32.data(), b32.data(), ref32.data(), in_f,
+                     out_f, batch, relu);
+          for (Isa isa : isas) {
+            const simd::PanelKernels& k = simd::panel_kernels(isa);
+            // Poison the outputs: an element the kernel forgot to write
+            // (e.g. a broken remainder loop) must mismatch, not luckily
+            // retain a stale correct value.
+            for (std::size_t i = 0; i < out_f * batch; ++i) {
+              out64[i] = -777.0;
+              out32[i] = -777.0f;
+            }
+            k.f64(a64.data(), w64.data(), b64.data(), out64.data(), in_f,
+                  out_f, batch, relu);
+            ASSERT_EQ(std::memcmp(out64.data(), ref64.data(),
+                                  out_f * batch * sizeof(double)),
+                      0)
+                << "f64 not bitwise-identical to scalar: isa="
+                << simd::isa_name(isa) << " in_f=" << in_f << " out_f=" << out_f
+                << " batch=" << batch;
+            k.f32(a32.data(), w32.data(), b32.data(), out32.data(), in_f,
+                  out_f, batch, relu);
+            for (std::size_t i = 0; i < out_f * batch; ++i) {
+              ASSERT_LE(ulp_diff(out32[i], ref32[i]), 1u)
+                  << "f32 beyond 1 ulp of scalar: isa=" << simd::isa_name(isa)
+                  << " in_f=" << in_f << " out_f=" << out_f
+                  << " batch=" << batch << " elem=" << i << " got=" << out32[i]
+                  << " want=" << ref32[i];
+            }
           }
         }
       }
@@ -236,8 +244,8 @@ TEST(SimdDispatch, KernelsFuseEachMultiplyAdd) {
   for (Isa isa : supported_isas()) {
     const simd::PanelKernels& k = simd::panel_kernels(isa);
     for (std::size_t batch = 1; batch <= kMaxBatch; ++batch) {
-      k.f64(a64.data(), &w64, &b64, out64.data(), 1, 1, batch);
-      k.f32(a32.data(), &w32, &b32, out32.data(), 1, 1, batch);
+      k.f64(a64.data(), &w64, &b64, out64.data(), 1, 1, batch, false);
+      k.f32(a32.data(), &w32, &b32, out32.data(), 1, 1, batch, false);
       for (std::size_t j = 0; j < batch; ++j) {
         ASSERT_EQ(out64[j], 0x1p-60)
             << "f64 isa=" << simd::isa_name(isa) << " batch=" << batch
@@ -248,6 +256,81 @@ TEST(SimdDispatch, KernelsFuseEachMultiplyAdd) {
       }
     }
   }
+}
+
+template <typename T>
+simd::DenseColumnsFn<T> kernel_of(const simd::PanelKernels& k) {
+  if constexpr (std::is_same_v<T, float>) {
+    return k.f32;
+  } else {
+    return k.f64;
+  }
+}
+
+/// Every supported ISA's kernel with the ReLU flag on against the scalar
+/// reference with the flag off followed by activate_columns(kRelu), byte
+/// for byte, over batches 1..130 (every tile, single-vector and remainder
+/// path). Features 0 and 1 have a zero weight row and a bias of -0.0 and
+/// +0.0, and the inputs are negative except in every seventh column, so
+/// the pre-activations hold exactly -0.0 and +0.0; every fifth column has
+/// a NaN input. Random panels almost never produce -0.0, and ulp_diff
+/// reads +0 and -0 as equal, so the sweep above would miss an epilogue
+/// that keeps -0.0 or NaN — x86 max(0, x) does both.
+template <typename T>
+void expect_relu_epilogue_equals_activate_pass() {
+  constexpr std::size_t kMaxBatch = 130;
+  constexpr std::size_t kInF = 3;
+  constexpr std::size_t kOutF = 7;
+  util::Rng rng(41);
+  AlignedVector<T> w(kInF * kOutF), bias(kOutF), a(kInF * kMaxBatch),
+      out(kOutF * kMaxBatch);
+  for (std::size_t k = 0; k < kInF; ++k) {
+    for (std::size_t of = 0; of < kOutF; ++of) {
+      w[k * kOutF + of] =
+          of < 2 ? T(0) : static_cast<T>(rng.uniform(-1.0, 1.0));
+    }
+  }
+  bias[0] = T(-0.0);
+  bias[1] = T(0.0);
+  for (std::size_t of = 2; of < kOutF; ++of) {
+    bias[of] = static_cast<T>(rng.uniform(-1.0, 1.0));
+  }
+  const auto scalar = kernel_of<T>(simd::panel_kernels(Isa::kScalar));
+  MatrixT<T> pre;
+  MatrixT<T> post;
+  for (std::size_t batch = 1; batch <= kMaxBatch; ++batch) {
+    for (std::size_t k = 0; k < kInF; ++k) {
+      for (std::size_t j = 0; j < batch; ++j) {
+        const T mag = static_cast<T>(rng.uniform(0.1, 1.0));
+        a[k * batch + j] =
+            k == 1 && j % 5 == 4 ? std::numeric_limits<T>::quiet_NaN()
+                                 : (j % 7 == 6 ? mag : -mag);
+      }
+    }
+    pre.resize(kOutF, batch);
+    scalar(a.data(), w.data(), bias.data(), pre.data().data(), kInF, kOutF,
+           batch, false);
+    ASSERT_EQ(pre(0, 0), T(0));
+    ASSERT_TRUE(std::signbit(pre(0, 0))) << "the panel must hold -0.0";
+    activate_columns(ActivationKind::kRelu, pre, post);
+    for (Isa isa : supported_isas()) {
+      for (std::size_t i = 0; i < kOutF * batch; ++i) out[i] = T(-777);
+      kernel_of<T>(simd::panel_kernels(isa))(a.data(), w.data(), bias.data(),
+                                             out.data(), kInF, kOutF, batch,
+                                             true);
+      ASSERT_EQ(std::memcmp(out.data(), post.data().data(),
+                            kOutF * batch * sizeof(T)),
+                0)
+          << "fused ReLU differs from activate_columns: isa="
+          << simd::isa_name(isa) << " bytes=" << sizeof(T)
+          << " batch=" << batch;
+    }
+  }
+}
+
+TEST(SimdDispatch, ReluEpilogueEqualsActivatePassBitwise) {
+  expect_relu_epilogue_equals_activate_pass<double>();
+  expect_relu_epilogue_equals_activate_pass<float>();
 }
 
 /// dense_forward_columns (both Matrix and MatrixT carriers) routes through
@@ -266,7 +349,7 @@ TEST(SimdDispatch, DenseForwardColumnsMatchesScalarKernel) {
   std::vector<double> ref(out_f * batch);
   simd::panel_kernels(Isa::kScalar)
       .f64(act.data().data(), w.data().data(), bias.data().data(), ref.data(),
-           in_f, out_f, batch);
+           in_f, out_f, batch, false);
   ASSERT_EQ(out.rows(), out_f);
   ASSERT_EQ(out.cols(), batch);
   EXPECT_EQ(std::memcmp(out.data().data(), ref.data(),
